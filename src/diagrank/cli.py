@@ -24,18 +24,24 @@ from typing import Any
 from . import generate, gf2, hieroglyph, rankmin
 from .completion import complete_nondegenerate
 
-BENCH_MAX_DIM = 2048
+# Largest dimension `gen` and `bench` accept: both cost n^2 or more.
+MAX_DIM = 2048
+
+# Word subcommands that search for a diagonal also report it as the
+# twisting data of the ribbons.
+_TWIST_COMMANDS = ("decide", "approx")
+
+
+def _check_dim(n: int) -> None:
+    if not 0 <= n <= MAX_DIM:
+        raise ValueError(f"dimension {n} outside 0..{MAX_DIM}")
 
 
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _read_matrix(path: str) -> gf2.Gf2Matrix:
-    return gf2.parse_matrix(_read_text(path))
 
 
 def _read_hieroglyph(arg: str) -> hieroglyph.Hieroglyph:
@@ -58,145 +64,113 @@ def _payload(command: str, n: int, **fields: Any) -> dict[str, Any]:
     return base
 
 
+def _on_matrix(args) -> tuple[dict, str, int]:
+    """Run the subcommand's matrix handler on its input.
+
+    A word input is replaced by its overlap matrix; the payload then adds
+    the word's alphabet and, for the diagonal searches, the witness again
+    as ``twist_witness``.
+    """
+    if "word" not in args:
+        m = gf2.parse_matrix(_read_text(args.file))
+        fields, text, code = args.handler(args, m)
+        return _payload(args.command, m.n, **fields), text, code
+    h = _read_hieroglyph(args.word)
+    fields, text, code = args.handler(args, hieroglyph.overlap_matrix(h))
+    command = args.hiero_command
+    payload = _payload(f"hiero-{command}", h.n, alphabet=list(h.alphabet), **fields)
+    if command in _TWIST_COMMANDS:
+        payload["twist_witness"] = payload["witness_diagonal"]
+    return payload, text, code
+
+
 def _bounds_json(lower: int, upper: int) -> dict[str, int]:
     return {"lower": lower, "upper": upper}
 
 
-def _cmd_rank(args) -> tuple[dict, str, int]:
-    m = _read_matrix(args.file)
+# Matrix handlers: (args, matrix) -> (payload fields, text, exit code).
+
+
+def _cmd_rank(args, m) -> tuple[dict, str, int]:
     r = gf2.rank(m)
-    return _payload("rank", m.n, achieved_rank=r), str(r), 0
+    return {"achieved_rank": r}, str(r), 0
 
 
-def _cmd_complete(args) -> tuple[dict, str, int]:
-    m = _read_matrix(args.file)
+def _cmd_show(args, m) -> tuple[dict, str, int]:
+    matrix = gf2.render_matrix(m)
+    return {"matrix": matrix}, matrix.rstrip("\n"), 0
+
+
+def _cmd_complete(args, m) -> tuple[dict, str, int]:
     completed, d = complete_nondegenerate(m)
-    payload = _payload(
-        "complete",
-        m.n,
-        answer="yes",
-        witness_diagonal=d.to_string(),
-        achieved_rank=m.n,
-        matrix=gf2.render_matrix(completed),
-    )
-    text = f"diagonal: {d.to_string()}\n{gf2.render_matrix(completed)}".rstrip("\n")
-    return payload, text, 0
+    matrix = gf2.render_matrix(completed)
+    fields = {
+        "answer": "yes",
+        "witness_diagonal": d.to_string(),
+        "achieved_rank": m.n,
+        "matrix": matrix,
+    }
+    return fields, f"diagonal: {d.to_string()}\n{matrix}".rstrip("\n"), 0
 
 
-def _decision_payload(command, n, k, outcome, m) -> tuple[dict, str, int]:
-    if outcome.witness is not None:
-        achieved = gf2.rank(gf2.with_diagonal(m, outcome.witness))
-        payload = _payload(
-            command,
-            n,
-            k=k,
-            answer="yes",
-            witness_diagonal=outcome.witness.to_string(),
-            achieved_rank=achieved,
-        )
-        return payload, f"yes witness={outcome.witness.to_string()} achieved_rank={achieved}", 0
-    return _payload(command, n, k=k, answer="no"), "no", 1
+def _cmd_decide(args, m) -> tuple[dict, str, int]:
+    witness = rankmin.min_rank_decide(m, args.k).witness
+    if witness is None:
+        return {"k": args.k, "answer": "no"}, "no", 1
+    w = witness.to_string()
+    achieved = gf2.rank(gf2.with_diagonal(m, witness))
+    fields = {"k": args.k, "answer": "yes", "witness_diagonal": w, "achieved_rank": achieved}
+    return fields, f"yes witness={w} achieved_rank={achieved}", 0
 
 
-def _cmd_decide(args) -> tuple[dict, str, int]:
-    m = _read_matrix(args.file)
-    outcome = rankmin.min_rank_decide(m, args.k)
-    return _decision_payload("decide", m.n, args.k, outcome, m)
-
-
-def _cmd_approx(args) -> tuple[dict, str, int]:
-    m = _read_matrix(args.file)
+def _cmd_approx(args, m) -> tuple[dict, str, int]:
     bounds, witness = rankmin.min_rank_approx(m)
-    payload = _payload(
-        "approx",
-        m.n,
-        rank_bounds=_bounds_json(bounds.lower, bounds.upper),
-        witness_diagonal=witness.to_string(),
-        achieved_rank=bounds.upper,
-    )
-    text = f"lower={bounds.lower} upper={bounds.upper} witness={witness.to_string()}"
-    return payload, text, 0
+    w = witness.to_string()
+    fields = {
+        "rank_bounds": _bounds_json(bounds.lower, bounds.upper),
+        "witness_diagonal": w,
+        "achieved_rank": bounds.upper,
+    }
+    return fields, f"lower={bounds.lower} upper={bounds.upper} witness={w}", 0
 
 
-def _cmd_exact(args) -> tuple[dict, str, int]:
-    m = _read_matrix(args.file)
+def _cmd_exact(args, m) -> tuple[dict, str, int]:
     result = rankmin.min_rank_exact(m, args.k_max)
     if result is None:
-        payload = _payload("exact", m.n, k=args.k_max, answer="exhausted")
-        return payload, f"exhausted k_max={args.k_max}", 1
+        return {"k": args.k_max, "answer": "exhausted"}, f"exhausted k_max={args.k_max}", 1
     value, witness = result
-    payload = _payload(
-        "exact",
-        m.n,
-        k=value,
-        answer="yes",
-        witness_diagonal=witness.to_string(),
-        achieved_rank=gf2.rank(gf2.with_diagonal(m, witness)),
-    )
-    return payload, f"rank={value} witness={witness.to_string()}", 0
+    w = witness.to_string()
+    fields = {
+        "k": value,
+        "answer": "yes",
+        "witness_diagonal": w,
+        "achieved_rank": gf2.rank(gf2.with_diagonal(m, witness)),
+    }
+    return fields, f"rank={value} witness={w}", 0
 
 
-def _cmd_oracle(args) -> tuple[dict, str, int]:
-    m = _read_matrix(args.file)
+def _cmd_oracle(args, m) -> tuple[dict, str, int]:
     value, witness = rankmin.min_rank_oracle(m)
-    payload = _payload(
-        "oracle",
-        m.n,
-        answer="yes",
-        rank_bounds=_bounds_json(value, value),
-        witness_diagonal=witness.to_string(),
-        achieved_rank=value,
-    )
-    return payload, f"rank={value} witness={witness.to_string()}", 0
+    w = witness.to_string()
+    fields = {
+        "answer": "yes",
+        "rank_bounds": _bounds_json(value, value),
+        "witness_diagonal": w,
+        "achieved_rank": value,
+    }
+    return fields, f"rank={value} witness={w}", 0
 
 
-def _cmd_upper_bound(args) -> tuple[dict, str, int]:
-    m = _read_matrix(args.file)
+def _cmd_upper_bound(args, m) -> tuple[dict, str, int]:
     d = rankmin.upper_bound_even_rows(m)
+    w = d.to_string()
     achieved = gf2.rank(gf2.with_diagonal(m, d))
-    payload = _payload(
-        "upper-bound",
-        m.n,
-        rank_bounds=_bounds_json(0, m.n - 1),
-        witness_diagonal=d.to_string(),
-        achieved_rank=achieved,
-    )
-    text = f"witness={d.to_string()} achieved_rank={achieved} bound={m.n - 1}"
-    return payload, text, 0
-
-
-def _cmd_hiero_overlap(args) -> tuple[dict, str, int]:
-    h = _read_hieroglyph(args.word)
-    m = hieroglyph.overlap_matrix(h)
-    payload = _payload("hiero-overlap", h.n, alphabet=list(h.alphabet), matrix=gf2.render_matrix(m))
-    return payload, gf2.render_matrix(m).rstrip("\n"), 0
-
-
-def _cmd_hiero_decide(args) -> tuple[dict, str, int]:
-    h = _read_hieroglyph(args.word)
-    m = hieroglyph.overlap_matrix(h)
-    outcome = rankmin.min_rank_decide(m, args.k)
-    payload, text, code = _decision_payload("hiero-decide", h.n, args.k, outcome, m)
-    payload["alphabet"] = list(h.alphabet)
-    payload["twist_witness"] = payload["witness_diagonal"]
-    return payload, text, code
-
-
-def _cmd_hiero_approx(args) -> tuple[dict, str, int]:
-    h = _read_hieroglyph(args.word)
-    m = hieroglyph.overlap_matrix(h)
-    bounds, witness = rankmin.min_rank_approx(m)
-    payload = _payload(
-        "hiero-approx",
-        h.n,
-        rank_bounds=_bounds_json(bounds.lower, bounds.upper),
-        witness_diagonal=witness.to_string(),
-        achieved_rank=bounds.upper,
-        alphabet=list(h.alphabet),
-        twist_witness=witness.to_string(),
-    )
-    text = f"lower={bounds.lower} upper={bounds.upper} witness={witness.to_string()}"
-    return payload, text, 0
+    fields = {
+        "rank_bounds": _bounds_json(0, m.n - 1),
+        "witness_diagonal": w,
+        "achieved_rank": achieved,
+    }
+    return fields, f"witness={w} achieved_rank={achieved} bound={m.n - 1}", 0
 
 
 def _cmd_hiero_canon(args) -> tuple[dict, str, int]:
@@ -212,15 +186,10 @@ def _cmd_hiero_canon(args) -> tuple[dict, str, int]:
 
 
 def _cmd_gen(args) -> tuple[dict, str, int]:
+    _check_dim(args.n)
     m = generate.gen_random(args.n, args.density, args.seed)
-    payload = _payload(
-        "gen",
-        args.n,
-        density=args.density,
-        seed=args.seed,
-        matrix=gf2.render_matrix(m),
-    )
-    return payload, gf2.render_matrix(m).rstrip("\n"), 0
+    fields, text, code = _cmd_show(args, m)
+    return _payload("gen", m.n, density=args.density, seed=args.seed, **fields), text, code
 
 
 _BENCH_OPS = {
@@ -239,8 +208,7 @@ def run_bench(algo: str, sizes: list[int], k: int, reps: int, seed: int) -> list
     if reps < 1:
         raise ValueError("reps must be positive")
     for n in sizes:
-        if not 0 <= n <= BENCH_MAX_DIM:
-            raise ValueError(f"size {n} outside 0..{BENCH_MAX_DIM}")
+        _check_dim(n)
     op = _BENCH_OPS[algo]
     results = []
     for n in sizes:
@@ -274,55 +242,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, **kwargs):
-        p = sub.add_parser(name, parents=[shared], help=help_, **kwargs)
-        p.set_defaults(func=func)
+    def add(subparsers, name, help_, func=_on_matrix, **defaults):
+        p = subparsers.add_parser(name, parents=[shared], help=help_)
+        p.set_defaults(func=func, **defaults)
         return p
 
-    p = add("rank", _cmd_rank, "rank of a matrix")
-    p.add_argument("file", help="matrix file, or - for stdin")
+    def add_matrix(name, handler, help_):
+        p = add(sub, name, help_, handler=handler)
+        p.add_argument("file", help="matrix file, or - for stdin")
+        return p
 
-    p = add("complete", _cmd_complete, "rewrite the diagonal to reach full rank")
-    p.add_argument("file", help="matrix file, or - for stdin")
-
-    p = add("decide", _cmd_decide, "is some diagonal rewrite of rank <= k?")
-    p.add_argument("--k", type=int, required=True, help="rank budget")
-    p.add_argument("file", help="matrix file, or - for stdin")
-
-    p = add("approx", _cmd_approx, "factor-2 bracket on the minimum rank")
-    p.add_argument("file", help="matrix file, or - for stdin")
-
-    p = add("exact", _cmd_exact, "exact minimum rank, searching budgets 0..k-max")
-    p.add_argument("--k-max", type=int, required=True, help="largest budget to try")
-    p.add_argument("file", help="matrix file, or - for stdin")
-
-    p = add("oracle", _cmd_oracle, "brute-force minimum over all 2^n diagonals")
-    p.add_argument("file", help="matrix file, or - for stdin")
-
-    p = add("upper-bound", _cmd_upper_bound, "even-row-sum diagonal, rank <= n-1")
-    p.add_argument("file", help="matrix file, or - for stdin")
-
-    hiero = sub.add_parser("hiero", help="double-occurrence word pipeline")
-    hsub = hiero.add_subparsers(dest="hiero_command", required=True)
-
-    def add_hiero(name, func, help_):
-        p = hsub.add_parser(name, parents=[shared], help=help_)
-        p.set_defaults(func=func)
+    def add_word(name, help_, **defaults):
+        p = add(hsub, name, help_, **defaults)
         p.add_argument("word", help="word, file containing one, or - for stdin")
         return p
 
-    add_hiero("overlap", _cmd_hiero_overlap, "interlacement matrix of the word")
-    p = add_hiero("decide", _cmd_hiero_decide, "realizable with at most k Möbius strips?")
-    p.add_argument("--k", type=int, required=True, help="strip budget")
-    add_hiero("approx", _cmd_hiero_approx, "factor-2 bracket on the strip count")
-    add_hiero("canon", _cmd_hiero_canon, "canonical form under rotation/reversal/relabeling")
+    add_matrix("rank", _cmd_rank, "rank of a matrix")
+    add_matrix("complete", _cmd_complete, "rewrite the diagonal to reach full rank")
+    p = add_matrix("decide", _cmd_decide, "is some diagonal rewrite of rank <= k?")
+    p.add_argument("--k", type=int, required=True, help="rank budget")
+    add_matrix("approx", _cmd_approx, "factor-2 bracket on the minimum rank")
+    p = add_matrix("exact", _cmd_exact, "exact minimum rank, searching budgets 0..k-max")
+    p.add_argument("--k-max", type=int, required=True, help="largest budget to try")
+    add_matrix("oracle", _cmd_oracle, "brute-force minimum over all 2^n diagonals")
+    add_matrix("upper-bound", _cmd_upper_bound, "even-row-sum diagonal, rank <= n-1")
 
-    p = add("gen", _cmd_gen, "seeded random matrix with zero diagonal")
+    hiero = sub.add_parser("hiero", help="double-occurrence word pipeline")
+    hsub = hiero.add_subparsers(dest="hiero_command", required=True)
+    add_word("overlap", "interlacement matrix of the word", handler=_cmd_show)
+    p = add_word("decide", "realizable with at most k Möbius strips?", handler=_cmd_decide)
+    p.add_argument("--k", type=int, required=True, help="strip budget")
+    add_word("approx", "factor-2 bracket on the strip count", handler=_cmd_approx)
+    add_word(
+        "canon",
+        "canonical form under rotation/reversal/relabeling",
+        func=_cmd_hiero_canon,
+    )
+
+    p = add(sub, "gen", "seeded random matrix with zero diagonal", func=_cmd_gen)
     p.add_argument("--n", type=int, required=True, help="dimension")
     p.add_argument("--density", type=float, default=0.5, help="off-diagonal one-probability")
     p.add_argument("--seed", type=int, default=0, help="SplitMix64 seed")
 
-    p = add("bench", _cmd_bench, "median wall times as CSV")
+    p = add(sub, "bench", "median wall times as CSV", func=_cmd_bench)
     p.add_argument("--algo", required=True, choices=sorted(_BENCH_OPS), help="operation to time")
     p.add_argument("--sizes", required=True, help="comma-separated dimensions, e.g. 16,32,64")
     p.add_argument("--k", type=int, default=1, help="budget for decide timings")
@@ -337,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, text, code = args.func(args)
-    except (gf2.MatrixFormatError, hieroglyph.HieroglyphFormatError) as exc:
+    except (gf2.MatrixFormatError, hieroglyph.HieroglyphFormatError, UnicodeDecodeError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
     except rankmin.OracleSizeError as exc:

@@ -178,29 +178,6 @@ def rank_rows(rows: list[int], n: int, cap: int | None = None) -> int:
     return rank
 
 
-def det_rows(rows: list[int], size: int) -> int:
-    """Determinant over GF(2) of the first ``size`` packed rows; destroys ``rows``.
-
-    Returns 1 iff the rows are linearly independent, exiting early on the
-    first pivot-free column.
-    """
-    for col in range(size):
-        bit = 1 << col
-        pivot = -1
-        for r in range(col, size):
-            if rows[r] & bit:
-                pivot = r
-                break
-        if pivot < 0:
-            return 0
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        prow = rows[col]
-        for r in range(pivot + 1, size):
-            if rows[r] & bit:
-                rows[r] ^= prow
-    return 1
-
-
 def rank(m: Gf2Matrix) -> int:
     """GF(2) rank of ``m``; the input is not modified."""
     return rank_rows(list(m.rows), m.n)
@@ -208,7 +185,7 @@ def rank(m: Gf2Matrix) -> int:
 
 def determinant(m: Gf2Matrix) -> int:
     """1 iff ``m`` has full rank (the empty matrix counts as full rank)."""
-    return det_rows(list(m.rows), m.n)
+    return int(rank(m) == m.n)
 
 
 def corner_minor(m: Gf2Matrix, size: int) -> int:
@@ -216,7 +193,7 @@ def corner_minor(m: Gf2Matrix, size: int) -> int:
     if not 1 <= size <= m.n:
         raise ValueError(f"corner size {size} out of range 1..{m.n}")
     mask = (1 << size) - 1
-    return det_rows([m.rows[r] & mask for r in range(size)], size)
+    return int(rank_rows([m.rows[r] & mask for r in range(size)], size) == size)
 
 
 def add(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:

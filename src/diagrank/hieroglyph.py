@@ -80,27 +80,24 @@ def parse_hieroglyph(text: str) -> Hieroglyph:
 def overlap_matrix(h: Hieroglyph) -> Gf2Matrix:
     """Interlacement matrix: entry (i, j) is 1 iff letters i and j alternate.
 
-    Indexed by first-occurrence order of the alphabet.  Built in O(n^2)
-    by walking, for each letter, the stretch between its two occurrences
-    and toggling one cell per letter occurrence found there; a pair ends
-    at 1 exactly when it is seen an odd number of times, i.e. alternates.
+    Indexed by first-occurrence order of the alphabet.  With P[p] the XOR
+    of the letter bits before position p, the row of a letter at
+    positions lo < hi is P[hi] ^ P[lo + 1]: the letters seen once between
+    its occurrences, i.e. those it alternates with.  One pass, O(n)
+    big-int operations.
     """
-    n = h.n
-    index = {tok: i for i, tok in enumerate(h.alphabet)}
-    occurrences: dict[str, list[int]] = {}
-    for pos, tok in enumerate(h.letters):
-        occurrences.setdefault(tok, []).append(pos)
-    rows = [0] * n
-    for tok, (lo, hi) in occurrences.items():
-        i = index[tok]
-        for pos in range(lo + 1, hi):
-            rows[i] ^= 1 << index[h.letters[pos]]
-    m = Gf2Matrix(n, tuple(rows))
-    for i in range(n):
-        assert not m.entry(i, i), "interlacement diagonal must be zero"
-        for j in range(i + 1, n):
-            assert m.entry(i, j) == m.entry(j, i), "interlacement must be symmetric"
-    return m
+    index: dict[str, int] = {}
+    rows: list[int] = []
+    prefix = 0  # P[pos]
+    for tok in h.letters:
+        i = index.setdefault(tok, len(index))
+        if i == len(rows):
+            prefix ^= 1 << i
+            rows.append(prefix)  # P[lo + 1]
+        else:
+            rows[i] ^= prefix  # P[hi]
+            prefix ^= 1 << i
+    return Gf2Matrix(h.n, tuple(rows))
 
 
 def genus_decide(h: Hieroglyph, k: int) -> DecisionOutcome:

@@ -6,22 +6,25 @@ bits.  This module provides:
 
 * an exact fixed-budget decision (`min_rank_decide`) that runs in
   ~n^(k+4) bit operations for budget k,
-* a factor-2 approximation (`min_rank_approx`) in ~n^4,
-* an exact search (`min_rank_exact`) iterating the decision,
+* a factor-2 approximation (`min_rank_approx`) in ~n^3,
+* an exact search (`min_rank_exact`) in one sweep of the decision's
+  enumeration,
 * a 2^n brute-force oracle (`min_rank_oracle`) for small matrices,
 * the always-available n-1 upper bound via an even-row-sum diagonal
   (`upper_bound_even_rows`).
 
-The decision works through the invertible completion M' of M: a
-candidate rewrite differing from M' in fewer than n-k diagonal places
-cannot reach rank <= k (erasing r diagonal ones lowers the rank by at
-most r), so only diagonal flips supported on at most k positions need
-to be tried.
+Decision and search work through the invertible completion M' of M and
+its erasure A0 = M' + I.  A rewrite differing from M' in fewer than n-k
+diagonal places cannot reach rank <= k (erasing r diagonal ones lowers
+the rank by at most r), so only the rewrites A0 + E_S, flipping a set S
+of at most k diagonal cells of A0, need to be tried.  Hence the minimum
+rank is the least max(|S|, rank(A0 + E_S)) over all flip sets S.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .completion import complete_nondegenerate
@@ -62,6 +65,42 @@ class DecisionOutcome:
         return self.witness is not None
 
 
+def _erased_completion(m: Gf2Matrix) -> tuple[int, list[int]]:
+    """Diagonal mask and packed rows of A0, the completion with its diagonal erased."""
+    completed, d = complete_nondegenerate(m)
+    erased = [row ^ (1 << i) for i, row in enumerate(completed.rows)]
+    return d.complement().mask, erased
+
+
+def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]]:
+    """Yield ``(value, witness)`` each time a flip set improves on the best.
+
+    Flip sets S are walked by ascending size, then lexicographically; the
+    value of S is max(|S|, rank(A0 + E_S)) and the best starts at k + 1.
+    The walk stops once |S| reaches the best value, so the first yield is
+    the first flip set reaching rank <= k and the last one is the first
+    reaching the minimum.
+    """
+    n = m.n
+    base, erased = _erased_completion(m)
+    best = k + 1
+    for size in range(min(k, n) + 1):
+        if size >= best:
+            return
+        for flips in itertools.combinations(range(n), size):
+            rows = erased.copy()
+            w = base
+            for i in flips:
+                rows[i] ^= 1 << i
+                w ^= 1 << i
+            value = max(size, rank_rows(rows, n, cap=best - 1))
+            if value < best:
+                best = value
+                yield value, DiagonalAssignment(n, w)
+                if best == size:  # no flip set of this size or larger can improve
+                    return
+
+
 def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
     """Decide whether some diagonal rewrite of ``m`` has rank <= k.
 
@@ -72,22 +111,10 @@ def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
-    n = m.n
-    if k >= n:
+    if k >= m.n:
         return DecisionOutcome(k, m.diagonal())
-    completed, _ = complete_nondegenerate(m)
-    off = [row & ~(1 << i) for i, row in enumerate(completed.rows)]
-    # Candidate diagonal for flip set S: complement of the completed
-    # diagonal, flipped back on S.  S = {} is the approximation witness.
-    base = completed.diagonal().complement().mask
-    for size in range(k + 1):
-        for flips in itertools.combinations(range(n), size):
-            w = base
-            for i in flips:
-                w ^= 1 << i
-            rows = [off[i] | (w & (1 << i)) for i in range(n)]
-            if rank_rows(rows, n, cap=k) <= k:
-                return DecisionOutcome(k, DiagonalAssignment(n, w))
+    for _, witness in _flip_sweep(m, k):
+        return DecisionOutcome(k, witness)
     return DecisionOutcome(k, None)
 
 
@@ -99,28 +126,26 @@ def min_rank_approx(m: Gf2Matrix) -> tuple[RankBounds, DiagonalAssignment]:
     bound; no diagonal rewrite can do better than half of it.  The
     returned witness achieves the upper bound exactly.
     """
-    completed, d = complete_nondegenerate(m)
-    witness = d.complement()
-    rows = [row ^ (1 << i) for i, row in enumerate(completed.rows)]
-    upper = rank_rows(rows, m.n)
-    return RankBounds((upper + 1) // 2, upper), witness
+    base, erased = _erased_completion(m)
+    upper = rank_rows(erased, m.n)
+    return RankBounds((upper + 1) // 2, upper), DiagonalAssignment(m.n, base)
 
 
 def min_rank_exact(
     m: Gf2Matrix, k_max: int
 ) -> tuple[int, DiagonalAssignment] | None:
-    """Exact minimum achievable rank, searching budgets 0..k_max.
+    """Exact minimum achievable rank, if it is at most k_max.
 
-    Returns ``(value, witness)`` or None when every budget up to k_max
-    is a certified no (the runtime grows as n^(k+4), so cap with care).
+    Returns ``(value, witness)`` or None when no rewrite reaches rank
+    k_max or less (the runtime grows as n^(k_max+4), so cap with care).
+    The witness is the one `min_rank_decide` returns for budget value.
     """
     if k_max < 0:
         raise ValueError("budget cap must be non-negative")
-    for k in range(min(k_max, m.n) + 1):
-        outcome = min_rank_decide(m, k)
-        if outcome.witness is not None:
-            return k, outcome.witness
-    return None
+    result = None
+    for result in _flip_sweep(m, k_max):
+        pass
+    return result
 
 
 def min_rank_oracle(m: Gf2Matrix) -> tuple[int, DiagonalAssignment]:

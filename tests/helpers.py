@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the library's elimination
 and search code: rank by row-span enumeration, min rank by trying every
 diagonal against that span rank, interlacement by the pairwise crossing
-condition on occurrence positions.
+condition on occurrence positions, completion by one fresh minor per
+diagonal cell.  The one exception is `exact_by_decide`, the slow path of
+the exact search, which repeats the library's decision once per budget.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 
 from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, with_diagonal
 from diagrank.hieroglyph import Hieroglyph
+from diagrank.rankmin import min_rank_decide
 
 
 def span_rank(m: Gf2Matrix) -> int:
@@ -100,3 +103,57 @@ def random_image(h: Hieroglyph, rng: random.Random) -> Hieroglyph:
     if rng.random() < 0.5:
         img = reverse_word(img)
     return relabel_word(img, rng)
+
+
+def _minor(rows: list[int], size: int) -> int:
+    """Determinant of the first ``size`` rows over columns 0..size-1."""
+    rows = [row & ((1 << size) - 1) for row in rows[:size]]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r] >> col & 1), None)
+        if pivot is None:
+            return 0
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, size):
+            if rows[r] >> col & 1:
+                rows[r] ^= rows[col]
+    return 1
+
+
+def corner_minor_completion(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]:
+    """Greedy completion with one fresh corner minor per diagonal cell (~n^4).
+
+    a_i is the complement of the leading (i+1)-minor taken with a zero at
+    (i, i), the earlier cells already holding a_0..a_{i-1}.
+    """
+    work = list(m.rows)
+    mask = 0
+    for i in range(m.n):
+        work[i] &= ~(1 << i)
+        a = 1 - _minor(work, i + 1)
+        work[i] |= a << i
+        mask |= a << i
+    return Gf2Matrix(m.n, tuple(work)), DiagonalAssignment(m.n, mask)
+
+
+def exact_by_decide(m: Gf2Matrix, k_max: int) -> tuple[int, DiagonalAssignment] | None:
+    """Exact minimum as the first yes among the decisions at budgets 0..k_max."""
+    for k in range(min(k_max, m.n) + 1):
+        witness = min_rank_decide(m, k).witness
+        if witness is not None:
+            return k, witness
+    return None
+
+
+def planted_matrix(rng: random.Random, n: int, r: int) -> Gf2Matrix:
+    """U·Vᵀ for random n x r factors U, V, with the diagonal zeroed.
+
+    Writing back the diagonal of U·Vᵀ gives rank <= r, so the minimum is
+    at most r.
+    """
+    us = [rng.getrandbits(r) for _ in range(n)]
+    vs = [rng.getrandbits(r) for _ in range(n)]
+    rows = tuple(
+        sum(((us[i] & vs[j]).bit_count() & 1) << j for j in range(n) if j != i)
+        for i in range(n)
+    )
+    return Gf2Matrix(n, rows)

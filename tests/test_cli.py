@@ -193,6 +193,40 @@ def test_hiero_approx():
     assert payload["twist_witness"] == "00"
 
 
+def test_word_payload_key_order():
+    # word subcommands are the matrix ones plus the alphabet (and twist_witness)
+    base = ["command", "n", "k", "answer", "rank_bounds", "witness_diagonal", "achieved_rank"]
+    for argv, extra in (
+        (["hiero", "overlap", "abab"], ["alphabet", "matrix"]),
+        (["hiero", "decide", "--k", "1", "abab"], ["alphabet", "twist_witness"]),
+        (["hiero", "decide", "--k", "0", "abab"], ["alphabet", "twist_witness"]),
+        (["hiero", "approx", "abab"], ["alphabet", "twist_witness"]),
+        (["hiero", "canon", "abab"], ["alphabet", "canonical"]),
+    ):
+        _, payload = invoke_json(argv)
+        assert list(payload) == base + extra, argv
+        assert payload["command"] == f"hiero-{argv[1]}"
+
+
+def test_word_file_is_read_as_utf8(tmp_path):
+    path = tmp_path / "word.txt"
+    path.write_text("αβαβ\n", encoding="utf-8")
+    assert invoke(["hiero", "overlap", str(path)]) == invoke(["hiero", "overlap", "αβαβ"])
+    code, payload = invoke_json(["hiero", "overlap", str(path)])
+    assert code == 0
+    assert payload["alphabet"] == ["α", "β"] and payload["matrix"] == "01\n10\n"
+
+
+def test_non_ascii_matrix_file_is_format_error(tmp_path):
+    path = tmp_path / "greek.txt"
+    path.write_text("0α\n10\n", encoding="utf-8")
+    code, _, err = invoke(["rank", str(path)])
+    assert code == 2 and err.startswith("format error:")
+    path.write_bytes(b"0\xff\n10\n")  # not UTF-8 at all
+    code, _, err = invoke(["rank", str(path)])
+    assert code == 2 and err.startswith("format error:")
+
+
 def test_hiero_canon():
     code, out, _ = invoke(["hiero", "canon", "baba"])
     assert (code, out) == (0, "abab\n")
@@ -229,6 +263,13 @@ def test_gen_json_echoes_parameters():
     assert payload["command"] == "gen" and payload["n"] == 3
     assert payload["density"] == 0.25 and payload["seed"] == 9
     assert parse_matrix(payload["matrix"]).n == 3
+
+
+def test_gen_dimension_guard():
+    code, out, err = invoke(["gen", "--n", "100000"])
+    assert (code, out) == (2, "") and err.startswith("error:")
+    code, _, err = invoke(["gen", "--n", "-1"])
+    assert code == 2 and err.startswith("error:")
 
 
 def test_gen_pipes_into_rank():
