@@ -45,7 +45,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_hieroglyph(arg: str) -> hieroglyph.Hieroglyph:
-    if arg != "-" and not os.path.isfile(arg):
+    if arg != "-" and not os.path.exists(arg):
         return hieroglyph.parse_hieroglyph(arg)
     return hieroglyph.parse_hieroglyph(_read_text(arg))
 

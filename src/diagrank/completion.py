@@ -12,13 +12,14 @@ All n minors come from one forward elimination without pivoting: every
 earlier leading minor is 1, so row i reduced by the pivot rows 0..i-1
 (with a zero in place i) keeps that minor in bit i.  The diagonal value
 enters the reduced row additively, so setting a_i = 1 - (that bit) makes
-the reduced row a pivot for column i.  The cost is ~n^3 bit operations
-(word-parallel over packed rows).
+the reduced row a pivot for column i.  The reduction is `gf2.reduce_row`,
+shared with `gf2.rank_rows`, with pivot i keyed by bit i; the cost is
+~n^3 bit operations (word-parallel over packed rows).
 """
 
 from __future__ import annotations
 
-from .gf2 import DiagonalAssignment, Gf2Matrix, with_diagonal
+from .gf2 import DiagonalAssignment, Gf2Matrix, reduce_row, with_diagonal
 
 
 def complete_nondegenerate(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]:
@@ -29,17 +30,13 @@ def complete_nondegenerate(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]
     leading corner minor of ``completed`` is 1 as well.  The output is
     deterministic: the same input always yields the same diagonal.
     """
-    pivots: list[int] = []  # pivot i: bit i set, bits 0..i-1 clear
+    pivots: dict[int, int] = {}  # pivot i: bit i set, bits 0..i-1 clear
     dmask = 0
     for i, row in enumerate(m.rows):
         bit = 1 << i
-        reduced = row & ~bit  # evaluate the leading minor with a zero at (i, i)
-        low = reduced & (bit - 1)
-        while low:
-            reduced ^= pivots[(low & -low).bit_length() - 1]
-            low = reduced & (bit - 1)
+        reduced = reduce_row(row & ~bit, pivots)  # the minor with a zero at (i, i)
         if not reduced & bit:
             dmask |= bit
-        pivots.append(reduced | bit)
+        pivots[i] = reduced | bit
     d = DiagonalAssignment(m.n, dmask)
     return with_diagonal(m, d), d

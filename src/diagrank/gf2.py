@@ -2,8 +2,9 @@
 
 Rows are stored as Python integers: bit j of ``rows[i]`` holds entry
 (i, j).  Arbitrary-precision ints give whole-row XOR as a single
-word-parallel operation, which is what keeps the elimination loops and
-the diagonal searches built on top of them fast enough in pure Python.
+word-parallel operation, which is what keeps the elimination and the
+diagonal searches built on top of it fast enough in pure Python.  All
+reduction is one loop, `reduce_row`, against pivots keyed by lowest bit.
 
 Matrices are immutable; every operation returns a fresh value.
 """
@@ -124,11 +125,6 @@ class DiagonalAssignment:
             raise ValueError(f"illegal character in {text!r}")
         return cls(len(text), sum(1 << i for i, c in enumerate(text) if c == "1"))
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ValueError(f"position {i} out of range for length {self.n}")
-        return (self.mask >> i) & 1
-
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple((self.mask >> i) & 1 for i in range(self.n))
@@ -148,39 +144,42 @@ class DiagonalAssignment:
         return Gf2Matrix(self.n, tuple((self.mask & (1 << i)) for i in range(self.n)))
 
 
-def rank_rows(rows: list[int], n: int, cap: int | None = None) -> int:
-    """Rank of packed rows over GF(2); destroys ``rows``.
+def reduce_row(row: int, pivots: dict[int, int]) -> int:
+    """Reduce ``row`` by ``pivots`` until its lowest set bit has no pivot.
 
-    Forward elimination over columns 0..n-1; the pivot for a column is
-    the lowest-index remaining row with a 1 there.  With ``cap`` given,
-    elimination stops as soon as the rank exceeds it and returns cap + 1;
-    useful when only "rank <= cap?" is needed.
+    ``pivots`` maps a bit index to a pivot row whose lowest set bit is
+    that index.  The result is 0 or a row whose lowest set bit is not a
+    key of ``pivots``.
     """
-    nrows = len(rows)
-    rank = 0
-    for col in range(n):
-        bit = 1 << col
-        pivot = -1
-        for r in range(rank, nrows):
-            if rows[r] & bit:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(pivot + 1, nrows):
-            if rows[r] & bit:
-                rows[r] ^= prow
-        rank += 1
-        if rank == nrows or (cap is not None and rank > cap):
+    while row:
+        pivot = pivots.get((row & -row).bit_length() - 1)
+        if pivot is None:
             break
-    return rank
+        row ^= pivot
+    return row
+
+
+def rank_rows(rows: Iterable[int], cap: int | None = None) -> int:
+    """Rank of packed rows over GF(2); ``rows`` is only read.
+
+    Rows are inserted one at a time into an XOR basis keyed by lowest
+    set bit.  With ``cap`` given, insertion stops as soon as the basis
+    grows past it and cap + 1 is returned, so the remaining rows are
+    never read; useful when only "rank <= cap?" is needed.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = reduce_row(row, pivots)
+        if row:
+            pivots[(row & -row).bit_length() - 1] = row
+            if cap is not None and len(pivots) > cap:
+                break
+    return len(pivots)
 
 
 def rank(m: Gf2Matrix) -> int:
     """GF(2) rank of ``m``; the input is not modified."""
-    return rank_rows(list(m.rows), m.n)
+    return rank_rows(m.rows)
 
 
 def determinant(m: Gf2Matrix) -> int:
@@ -193,7 +192,7 @@ def corner_minor(m: Gf2Matrix, size: int) -> int:
     if not 1 <= size <= m.n:
         raise ValueError(f"corner size {size} out of range 1..{m.n}")
     mask = (1 << size) - 1
-    return int(rank_rows([m.rows[r] & mask for r in range(size)], size) == size)
+    return int(rank_rows(row & mask for row in m.rows[:size]) == size)
 
 
 def add(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:

@@ -93,7 +93,7 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
             for i in flips:
                 rows[i] ^= 1 << i
                 w ^= 1 << i
-            value = max(size, rank_rows(rows, n, cap=best - 1))
+            value = max(size, rank_rows(rows, cap=best - 1))
             if value < best:
                 best = value
                 yield value, DiagonalAssignment(n, w)
@@ -127,7 +127,7 @@ def min_rank_approx(m: Gf2Matrix) -> tuple[RankBounds, DiagonalAssignment]:
     returned witness achieves the upper bound exactly.
     """
     base, erased = _erased_completion(m)
-    upper = rank_rows(erased, m.n)
+    upper = rank_rows(erased)
     return RankBounds((upper + 1) // 2, upper), DiagonalAssignment(m.n, base)
 
 
@@ -161,8 +161,7 @@ def min_rank_oracle(m: Gf2Matrix) -> tuple[int, DiagonalAssignment]:
     best_rank = n + 1
     best_bits: tuple[int, ...] = ()
     for bits in itertools.product((0, 1), repeat=n):
-        rows = [off[i] | (bits[i] << i) for i in range(n)]
-        r = rank_rows(rows, n, cap=best_rank - 1)
+        r = rank_rows((off[i] | (bits[i] << i) for i in range(n)), cap=best_rank - 1)
         if r < best_rank:
             best_rank = r
             best_bits = bits

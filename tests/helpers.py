@@ -4,8 +4,9 @@ Everything here is deliberately independent of the library's elimination
 and search code: rank by row-span enumeration, min rank by trying every
 diagonal against that span rank, interlacement by the pairwise crossing
 condition on occurrence positions, completion by one fresh minor per
-diagonal cell.  The one exception is `exact_by_decide`, the slow path of
-the exact search, which repeats the library's decision once per budget.
+diagonal cell, rank by column-pivot elimination.  The one exception is
+`exact_by_decide`, the slow path of the exact search, which repeats the
+library's decision once per budget.
 """
 
 from __future__ import annotations
@@ -117,6 +118,31 @@ def _minor(rows: list[int], size: int) -> int:
             if rows[r] >> col & 1:
                 rows[r] ^= rows[col]
     return 1
+
+
+def column_pivot_rank(rows: list[int], n: int, cap: int | None = None) -> int:
+    """Rank of packed rows by forward elimination over columns 0..n-1.
+
+    The pivot for a column is the lowest-index remaining row with a 1
+    there; works on a copy.  With ``cap`` given, elimination stops as
+    soon as the rank exceeds it and returns cap + 1.
+    """
+    rows = list(rows)
+    nrows = len(rows)
+    rank = 0
+    for col in range(n):
+        bit = 1 << col
+        pivot = next((r for r in range(rank, nrows) if rows[r] & bit), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(pivot + 1, nrows):
+            if rows[r] & bit:
+                rows[r] ^= rows[rank]
+        rank += 1
+        if rank == nrows or (cap is not None and rank > cap):
+            break
+    return rank
 
 
 def corner_minor_completion(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]:

@@ -337,6 +337,13 @@ def test_missing_file_is_input_error():
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("command", (["overlap"], ["canon"], ["decide", "--k", "1"]))
+def test_directory_word_is_input_error(tmp_path, command):
+    code, out, err = invoke(["hiero", *command, str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
 def test_malformed_matrix_is_format_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("01\n1\n")

@@ -15,6 +15,7 @@ from helpers import (
     planted_matrix,
     random_diagonal,
     random_matrix,
+    span_rank,
 )
 
 PLANTED = [(n, r) for r in (2, 3) for n in (64, 96, 128)]
@@ -60,4 +61,5 @@ def test_exact_matches_decide_loop_planted(n, r):
     assert result == exact_by_decide(m, r)
     value, witness = result
     assert rank(with_diagonal(m, witness)) == value
+    assert span_rank(with_diagonal(m, witness)) == value
     assert min_rank_approx(m)[0].lower <= value <= r

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -13,10 +15,19 @@ from diagrank.gf2 import (
     determinant,
     parse_matrix,
     rank,
+    rank_rows,
     render_matrix,
     with_diagonal,
 )
-from helpers import random_diagonal, random_matrix, span_rank
+from helpers import (
+    column_pivot_rank,
+    planted_matrix,
+    random_diagonal,
+    random_matrix,
+    span_rank,
+)
+
+CAPS = (None, 0, 1, 2, 3, 4)
 
 
 @st.composite
@@ -120,6 +131,57 @@ def test_rank_does_not_mutate():
     rank(m)
     determinant(m)
     assert m.rows == before
+
+
+# rank_rows against the column-pivot elimination --------------------------------
+
+
+def row_lists(rng, count):
+    """(rows, n): the empty list, then lists shorter or longer than n, some
+    spanned by a few rows (low rank), with duplicate rows mixed in."""
+    yield [], 0
+    yield [], 5
+    for _ in range(count):
+        n = rng.randrange(1, 24)
+        length = rng.randrange(2 * n + 2)
+        if rng.random() < 0.5:
+            rows = [rng.getrandbits(n) for _ in range(length)]
+        else:
+            basis = [rng.getrandbits(n) for _ in range(rng.randrange(1, 5))]
+            rows = [
+                functools.reduce(operator.xor, rng.sample(basis, rng.randrange(len(basis) + 1)), 0)
+                for _ in range(length)
+            ]
+        if rows:
+            rows += rng.choices(rows, k=rng.randrange(1, 4))
+            rng.shuffle(rows)
+        yield rows, n
+
+
+def test_rank_rows_matches_column_pivot_random():
+    for rows, n in row_lists(random.Random(11), 400):
+        before = list(rows)
+        for cap in CAPS:
+            assert rank_rows(rows, cap) == column_pivot_rank(rows, n, cap), (rows, n, cap)
+        assert rows == before  # the argument is only read
+
+
+@pytest.mark.parametrize("n", (64, 128, 256))
+def test_rank_rows_matches_column_pivot_planted(n):
+    rng = random.Random(n)
+    m = planted_matrix(rng, n, 3)
+    for rows in (m.rows, with_diagonal(m, random_diagonal(rng, n)).rows):
+        for cap in CAPS:
+            assert rank_rows(rows, cap) == column_pivot_rank(rows, n, cap), cap
+
+
+def test_rank_rows_stops_reading_past_cap():
+    rows = iter([1, 1, 2, 3, 4, 8])
+    assert rank_rows(rows, cap=1) == 2
+    assert list(rows) == [3, 4, 8]
+    rows = iter([0, 5, 5, 6])
+    assert rank_rows(rows, cap=3) == 2
+    assert list(rows) == []
 
 
 # add / with_diagonal ----------------------------------------------------------
