@@ -14,6 +14,7 @@ Exit codes: 0 success (and "yes" for decisions), 1 for "no"/"exhausted",
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import statistics
@@ -45,9 +46,16 @@ def _read_text(path: str) -> str:
 
 
 def _read_hieroglyph(arg: str) -> hieroglyph.Hieroglyph:
-    if arg != "-" and not os.path.exists(arg):
+    """An existing path or - is read as a file; anything else is an inline
+    word, unless it names a path (has a separator) and does not parse."""
+    if arg == "-" or os.path.exists(arg):
+        return hieroglyph.parse_hieroglyph(_read_text(arg))
+    try:
         return hieroglyph.parse_hieroglyph(arg)
-    return hieroglyph.parse_hieroglyph(_read_text(arg))
+    except hieroglyph.HieroglyphFormatError:
+        if "/" in arg or os.sep in arg:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), arg) from None
+        raise
 
 
 def _payload(command: str, n: int, **fields: Any) -> dict[str, Any]:

@@ -230,19 +230,14 @@ def parse_matrix(text: str) -> Gf2Matrix:
             raise MatrixFormatError(
                 f"ragged input: line {i + 1} has {len(line)} characters, expected {n}"
             )
-        mask = 0
-        for j, c in enumerate(line):
-            if c == "1":
-                mask |= 1 << j
-            elif c != "0":
-                raise MatrixFormatError(f"illegal character {c!r} on line {i + 1}")
-        rows.append(mask)
+        # validated first: int() would also accept "_", whitespace and signs
+        if line.count("0") + line.count("1") != n:
+            c = next(c for c in line if c not in "01")
+            raise MatrixFormatError(f"illegal character {c!r} on line {i + 1}")
+        rows.append(int(line[::-1], 2))
     return Gf2Matrix(n, tuple(rows))
 
 
 def render_matrix(m: Gf2Matrix) -> str:
     """Inverse of :func:`parse_matrix`; emits LF line endings."""
-    return "".join(
-        "".join("1" if (row >> j) & 1 else "0" for j in range(m.n)) + "\n"
-        for row in m.rows
-    )
+    return "".join(format(row, f"0{m.n}b")[::-1] + "\n" for row in m.rows)

@@ -115,34 +115,84 @@ def genus_approx(h: Hieroglyph) -> RankBounds:
     return bounds
 
 
+def _gaps(seq: tuple[str, ...]) -> list[int]:
+    """g[p]: backward cyclic distance from position p to its letter's other occurrence."""
+    length = len(seq)
+    gaps = [0] * length
+    first: dict[str, int] = {}
+    for p, tok in enumerate(seq):
+        q = first.pop(tok, None)
+        if q is None:
+            first[tok] = p
+        else:
+            gaps[p] = p - q
+            gaps[q] = length - (p - q)
+    return gaps
+
+
+def _period(values: list[int]) -> int:
+    """Smallest cyclic period of ``values`` (a divisor of its length), by the prefix function."""
+    pi = [0] * len(values)
+    for i in range(1, len(values)):
+        j = pi[i - 1]
+        while j and values[i] != values[j]:
+            j = pi[j - 1]
+        if values[i] == values[j]:
+            j += 1
+        pi[i] = j
+    d = len(values) - pi[-1]
+    return d if len(values) % d == 0 else len(values)
+
+
 def canonical_form(h: Hieroglyph) -> Hieroglyph:
     """Least representative of the word under rotation, reversal, relabeling.
 
-    Every rotation of the word and of its reversal is relabeled by
-    first-occurrence order; the lexicographically least result is
-    returned.  Two hieroglyphs describe the same unoriented cyclic
-    structure iff their canonical forms are equal.
+    Of every rotation of the word and of its reversal, relabeled by
+    first-occurrence order, the lexicographically least image is
+    returned (letters ``a..z``, or ``t0, t1, ...`` beyond 26).  Two
+    hieroglyphs describe the same unoriented cyclic structure iff their
+    canonical forms are equal.
+
+    The winner is chosen on a relabel-invariant encoding and only it is
+    relabeled.  Let g[p] be the backward cyclic distance from position p
+    to the other occurrence of its letter.  In the rotation starting at
+    r, position t is a first occurrence iff g[r + t] > t.  Of two
+    rotations whose images agree before t, a first occurrence at t gets
+    a fresh label, larger than every earlier one; a repeat gets the
+    label of its first occurrence, t - g positions back, so a larger g
+    means a smaller label.  The least image is therefore the rotation
+    whose sequence v[t] = (g[r + t] if g[r + t] <= t else 0) is
+    lexicographically greatest, and equal sequences give equal images.
+    All 2L candidates (L = 2n) are filtered one position at a time,
+    keeping those with the greatest v[t], until one is left or t = L;
+    positions t < min(g) are skipped, since v is 0 there for all.  If g
+    has cyclic period d, starts r and r + d give the same v, so only
+    starts r < d are candidates.  Typical cost is O(n); near-periodic
+    words, whose candidates agree on long prefixes, cost up to O(n^2).
     """
     word = h.letters
     length = len(word)
     if length == 0:
         return h
-    best: tuple[int, ...] | None = None
-    for seq in (word, word[::-1]):
-        for r in range(length):
-            rotated = seq[r:] + seq[:r]
-            ids: dict[str, int] = {}
-            img = []
-            for tok in rotated:
-                if tok not in ids:
-                    ids[tok] = len(ids)
-                img.append(ids[tok])
-            key = tuple(img)
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    n = length // 2
-    if n <= len(string.ascii_lowercase):
+    orientations = (word, word[::-1])
+    gaps: list[int] = []  # each orientation's g, doubled, so start s reads gaps[s + t]
+    starts: list[int] = []
+    for seq in orientations:
+        g = _gaps(seq)
+        starts.extend(range(len(gaps), len(gaps) + _period(g)))
+        gaps.extend(g + g)
+    t = min(gaps)
+    while len(starts) > 1 and t < length:
+        vals = [gaps[s + t] for s in starts]
+        best = max((g for g in vals if g <= t), default=0)
+        if best:
+            starts = [s for s, g in zip(starts, vals) if g == best]
+        t += 1
+    orientation, r = divmod(starts[0], 2 * length)
+    seq = orientations[orientation]
+    ids: dict[str, int] = {}
+    image = [ids.setdefault(tok, len(ids)) for tok in seq[r:] + seq[:r]]
+    if h.n <= len(string.ascii_lowercase):
         names = string.ascii_lowercase
-        return Hieroglyph(tuple(names[i] for i in best))
-    return Hieroglyph(tuple(f"t{i}" for i in best))
+        return Hieroglyph(tuple(names[i] for i in image))
+    return Hieroglyph(tuple(f"t{i}" for i in image))

@@ -65,11 +65,11 @@ class DecisionOutcome:
         return self.witness is not None
 
 
-def _erased_completion(m: Gf2Matrix) -> tuple[int, list[int]]:
-    """Diagonal mask and packed rows of A0, the completion with its diagonal erased."""
+def _erased_completion(m: Gf2Matrix) -> tuple[int, list[int], int]:
+    """Diagonal mask, packed rows and rank of A0, the completion with its diagonal erased."""
     completed, d = complete_nondegenerate(m)
     erased = [row ^ (1 << i) for i, row in enumerate(completed.rows)]
-    return d.complement().mask, erased
+    return d.complement().mask, erased, rank_rows(erased)
 
 
 def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]]:
@@ -79,14 +79,18 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
     value of S is max(|S|, rank(A0 + E_S)) and the best starts at k + 1.
     The walk stops once |S| reaches the best value, so the first yield is
     the first flip set reaching rank <= k and the last one is the first
-    reaching the minimum.
+    reaching the minimum.  With u = rank(A0), rank(A0 + E_S) >= u - |S|,
+    so a size s with u - s >= best cannot improve and is skipped; for
+    k < ceil(u/2) no flip set is tried at all.
     """
     n = m.n
-    base, erased = _erased_completion(m)
+    base, erased, u = _erased_completion(m)
     best = k + 1
     for size in range(min(k, n) + 1):
         if size >= best:
             return
+        if u - size >= best:
+            continue
         for flips in itertools.combinations(range(n), size):
             rows = erased.copy()
             w = base
@@ -99,6 +103,8 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
                 yield value, DiagonalAssignment(n, w)
                 if best == size:  # no flip set of this size or larger can improve
                     return
+                if u - size >= best:  # none of this size can improve
+                    break
 
 
 def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
@@ -107,7 +113,9 @@ def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
     Enumerates candidate diagonals through the invertible completion:
     flip sets of at most k diagonal positions, by ascending size and
     lexicographically within a size, so the returned witness is the
-    first success in that canonical order.  k >= n is trivially yes.
+    first success in that canonical order.  Sizes below u - k, where u is
+    the rank of the erased completion, are skipped, so k < ceil(u/2) is
+    a no without any search.  k >= n is trivially yes.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -126,8 +134,7 @@ def min_rank_approx(m: Gf2Matrix) -> tuple[RankBounds, DiagonalAssignment]:
     bound; no diagonal rewrite can do better than half of it.  The
     returned witness achieves the upper bound exactly.
     """
-    base, erased = _erased_completion(m)
-    upper = rank_rows(erased)
+    base, _, upper = _erased_completion(m)
     return RankBounds((upper + 1) // 2, upper), DiagonalAssignment(m.n, base)
 
 

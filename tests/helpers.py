@@ -4,17 +4,22 @@ Everything here is deliberately independent of the library's elimination
 and search code: rank by row-span enumeration, min rank by trying every
 diagonal against that span rank, interlacement by the pairwise crossing
 condition on occurrence positions, completion by one fresh minor per
-diagonal cell, rank by column-pivot elimination.  The one exception is
-`exact_by_decide`, the slow path of the exact search, which repeats the
-library's decision once per budget.
+diagonal cell, rank by column-pivot elimination, canonical form by
+relabeling every rotation.  The exceptions are the slow paths of the
+search: `exact_by_decide` repeats the library's decision once per budget,
+and `unpruned_flip_sweep` is the flip-set sweep without its rank-bound
+pruning, on the library's completion and rank.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import string
+from collections.abc import Iterator
 
-from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, with_diagonal
+from diagrank.completion import complete_nondegenerate
+from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, rank_rows, with_diagonal
 from diagrank.hieroglyph import Hieroglyph
 from diagrank.rankmin import min_rank_decide
 
@@ -106,6 +111,38 @@ def random_image(h: Hieroglyph, rng: random.Random) -> Hieroglyph:
     return relabel_word(img, rng)
 
 
+def rotation_scan_canonical(h: Hieroglyph) -> Hieroglyph:
+    """Canonical form by relabeling all 4n rotations and reflections, O(n^2).
+
+    Every rotation of the word and of its reversal is relabeled by
+    first-occurrence order; the lexicographically least result is
+    returned.
+    """
+    word = h.letters
+    length = len(word)
+    if length == 0:
+        return h
+    best: tuple[int, ...] | None = None
+    for seq in (word, word[::-1]):
+        for r in range(length):
+            rotated = seq[r:] + seq[:r]
+            ids: dict[str, int] = {}
+            img = []
+            for tok in rotated:
+                if tok not in ids:
+                    ids[tok] = len(ids)
+                img.append(ids[tok])
+            key = tuple(img)
+            if best is None or key < best:
+                best = key
+    assert best is not None
+    n = length // 2
+    if n <= len(string.ascii_lowercase):
+        names = string.ascii_lowercase
+        return Hieroglyph(tuple(names[i] for i in best))
+    return Hieroglyph(tuple(f"t{i}" for i in best))
+
+
 def _minor(rows: list[int], size: int) -> int:
     """Determinant of the first ``size`` rows over columns 0..size-1."""
     rows = [row & ((1 << size) - 1) for row in rows[:size]]
@@ -168,6 +205,36 @@ def exact_by_decide(m: Gf2Matrix, k_max: int) -> tuple[int, DiagonalAssignment] 
         if witness is not None:
             return k, witness
     return None
+
+
+def unpruned_flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]]:
+    """The flip-set sweep of `rankmin` with no rank-bound pruning.
+
+    Every flip set S of size < best, by size then lexicographically, is
+    scored max(|S|, rank(A0 + E_S)); each strict improvement on the best
+    (starting at k + 1) is yielded.  The first yield is the decision's
+    witness at budget k, the last one the exact minimum's.
+    """
+    n = m.n
+    completed, d = complete_nondegenerate(m)
+    erased = [row ^ (1 << i) for i, row in enumerate(completed.rows)]
+    base = d.complement().mask
+    best = k + 1
+    for size in range(min(k, n) + 1):
+        if size >= best:
+            return
+        for flips in itertools.combinations(range(n), size):
+            rows = erased.copy()
+            w = base
+            for i in flips:
+                rows[i] ^= 1 << i
+                w ^= 1 << i
+            value = max(size, rank_rows(rows, cap=best - 1))
+            if value < best:
+                best = value
+                yield value, DiagonalAssignment(n, w)
+                if best == size:
+                    return
 
 
 def planted_matrix(rng: random.Random, n: int, r: int) -> Gf2Matrix:

@@ -344,6 +344,15 @@ def test_directory_word_is_input_error(tmp_path, command):
     assert err.startswith("input error:")
 
 
+def test_mistyped_word_path_is_input_error():
+    code, out, err = invoke(["hiero", "overlap", "/nonexistent/x"])
+    assert code == 2 and out == ""
+    assert err == "input error: [Errno 2] No such file or directory: '/nonexistent/x'\n"
+    # a word that parses is a word, separators included
+    code, out, _ = invoke(["hiero", "overlap", "a/a/"])
+    assert code == 0 and out == "01\n10\n"
+
+
 def test_malformed_matrix_is_format_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("01\n1\n")

@@ -1,14 +1,16 @@
-"""The single-pass completion and the one-sweep exact search, checked
-against their slow paths (corner minors, one decision per budget) beyond
-the sizes the brute-force oracle reaches."""
+"""The single-pass completion and the pruned one-sweep search, checked
+against their slow paths (corner minors, one decision per budget, the
+sweep without rank-bound pruning) beyond the sizes the brute-force
+oracle reaches."""
 
 import random
 
 import pytest
 
+from diagrank import rankmin
 from diagrank.completion import complete_nondegenerate
-from diagrank.gf2 import rank, with_diagonal
-from diagrank.rankmin import min_rank_approx, min_rank_exact
+from diagrank.gf2 import rank, rank_rows, with_diagonal
+from diagrank.rankmin import min_rank_approx, min_rank_decide, min_rank_exact
 from helpers import (
     corner_minor_completion,
     exact_by_decide,
@@ -16,6 +18,7 @@ from helpers import (
     random_diagonal,
     random_matrix,
     span_rank,
+    unpruned_flip_sweep,
 )
 
 PLANTED = [(n, r) for r in (2, 3) for n in (64, 96, 128)]
@@ -63,3 +66,43 @@ def test_exact_matches_decide_loop_planted(n, r):
     assert rank(with_diagonal(m, witness)) == value
     assert span_rank(with_diagonal(m, witness)) == value
     assert min_rank_approx(m)[0].lower <= value <= r
+
+
+def unpruned_results(m, k):
+    """(decision witness or None, exact result or None) of the unpruned sweep."""
+    results = list(unpruned_flip_sweep(m, k))
+    if not results:
+        return None, None
+    return results[0][1], results[-1]
+
+
+def test_pruned_sweep_matches_unpruned_every_budget():
+    for _, m in random_instances(34, 300, 10):
+        for k in range(m.n + 2):
+            witness, exact = unpruned_results(m, k)
+            if k < m.n:  # k >= n is decided yes without a sweep
+                assert min_rank_decide(m, k).witness == witness, (m.rows, k)
+            assert min_rank_exact(m, k) == exact, (m.rows, k)
+
+
+@pytest.mark.parametrize("n,r", PLANTED)
+def test_pruned_sweep_matches_unpruned_planted(n, r):
+    m = planted_matrix(random.Random(n * 10 + r), n, r)
+    for k in range(r + 1):
+        witness, exact = unpruned_results(m, k)
+        assert min_rank_decide(m, k).witness == witness, k
+        assert min_rank_exact(m, k) == exact, k
+
+
+def test_decide_below_half_the_bound_tries_no_flip_set(monkeypatch):
+    m = random_matrix(random.Random(35), 64)
+    k = (min_rank_approx(m)[0].upper + 1) // 2 - 1
+    caps = []
+
+    def counting_rank_rows(rows, cap=None):
+        caps.append(cap)
+        return rank_rows(rows, cap)
+
+    monkeypatch.setattr(rankmin, "rank_rows", counting_rank_rows)
+    assert not min_rank_decide(m, k).is_yes
+    assert caps == [None]  # only the rank of the erased completion

@@ -232,9 +232,44 @@ def test_parse_matrix_errors():
         parse_matrix("0 1\n0 1\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("01\n1", "ragged input: line 2 has 1 characters, expected 2"),
+        ("\n", "empty input"),
+        ("0x\n01\n", "illegal character 'x' on line 1"),
+        ("0x1\n00\n", "ragged input: line 1 has 3 characters, expected 2"),  # ragged first
+        ("0x\n1\n", "illegal character 'x' on line 1"),  # line by line
+        ("01\n0\u00e9\n", "illegal character '\u00e9' on line 2"),
+        # characters int(..., 2) would accept
+        ("1_0\n010\n000\n", "illegal character '_' on line 1"),
+        (" 1\n10\n", "illegal character ' ' on line 1"),
+        ("10\n1\t\n", "illegal character '\\t' on line 2"),
+        ("+1\n10\n", "illegal character '+' on line 1"),
+        ("-1\n10\n", "illegal character '-' on line 1"),
+        ("0\u0661\n10\n", "illegal character '\u0661' on line 1"),  # an Arabic-Indic digit
+    ],
+)
+def test_parse_matrix_error_messages(text, message):
+    with pytest.raises(MatrixFormatError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == message
+
+
 def test_render_matrix():
     assert render_matrix(Gf2Matrix.identity(2)) == "10\n01\n"
     assert render_matrix(Gf2Matrix.zero(0)) == ""
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000])
+def test_matrix_text_round_trip(n):
+    m = random_matrix(random.Random(n), n)
+    text = render_matrix(m)
+    assert text == "".join(
+        "".join(str(m.entry(i, j)) for j in range(n)) + "\n" for i in range(n)
+    )
+    if n:
+        assert parse_matrix(text) == m
 
 
 # properties -------------------------------------------------------------------

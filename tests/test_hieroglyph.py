@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagrank.gf2 import Gf2Matrix, rank, with_diagonal
 from diagrank.hieroglyph import (
@@ -13,7 +15,13 @@ from diagrank.hieroglyph import (
     parse_hieroglyph,
 )
 from diagrank.rankmin import min_rank_exact, min_rank_oracle
-from helpers import naive_overlap, random_hieroglyph, random_image
+from helpers import (
+    naive_overlap,
+    random_hieroglyph,
+    random_image,
+    rotation_scan_canonical,
+    token_names,
+)
 
 # parsing ----------------------------------------------------------------------
 
@@ -200,3 +208,56 @@ def test_canonical_names_beyond_alphabet():
     assert c.n == 27
     assert c.letters[0] == "t0"
     assert canonical_form(c) == c
+
+
+def test_canonical_matches_rotation_scan_random():
+    rng = random.Random(61)
+    for _ in range(3000):
+        h = random_hieroglyph(rng, rng.randrange(13))
+        assert canonical_form(h) == rotation_scan_canonical(h), h.letters
+
+
+def structured_word(family: str, n: int, rng: random.Random) -> list[str]:
+    """Words whose rotations agree on long prefixes (n >= 2)."""
+    names = token_names(n)
+    w = names.copy()
+    rng.shuffle(w)
+    if family == "periodic":
+        return w + w
+    if family == "mirror":
+        return w + w[::-1]
+    if family == "nested":
+        return [x for x in names for _ in range(2)]
+    if family == "two-block":
+        a, b = w[: n // 2], w[n // 2 :]
+        return a + a + b + b
+    if family == "near-periodic":  # w·w with one transposition
+        word = w + w
+        i, j = rng.sample(range(2 * n), 2)
+        word[i], word[j] = word[j], word[i]
+        return word
+    if family == "nested-defect":  # aabbcc... with one abab
+        word = [x for x in names for _ in range(2)]
+        i = 2 * rng.randrange(n - 1) + 1
+        word[i], word[i + 1] = word[i + 1], word[i]
+        return word
+    raise ValueError(family)
+
+
+@pytest.mark.parametrize(
+    "family", ["periodic", "mirror", "nested", "two-block", "near-periodic", "nested-defect"]
+)
+def test_canonical_matches_rotation_scan_structured(family):
+    rng = random.Random(67)
+    for n in range(2, 61):
+        h = Hieroglyph(tuple(structured_word(family, n, rng)))
+        c = canonical_form(h)
+        assert c == rotation_scan_canonical(h), (family, n)
+        assert canonical_form(random_image(h, rng)) == c, (family, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.randoms(use_true_random=False))
+def test_canonical_invariant_under_random_image(n, rnd):
+    h = random_hieroglyph(rnd, n)
+    assert canonical_form(random_image(h, rnd)) == canonical_form(h)

@@ -18,7 +18,14 @@ from diagrank.rankmin import (
     min_rank_oracle,
     upper_bound_even_rows,
 )
-from helpers import brute_force_min_rank, random_diagonal, random_matrix, span_rank
+from helpers import (
+    brute_force_min_rank,
+    column_pivot_rank,
+    planted_matrix,
+    random_diagonal,
+    random_matrix,
+    span_rank,
+)
 
 ANTI = Gf2Matrix.from_rows([[0, 1], [1, 0]])
 
@@ -282,3 +289,20 @@ def test_decide_consistent_with_exact(m, k):
     assert result is not None
     value, _ = result
     assert out.is_yes == (value <= k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_exact_invariant_under_permutation_and_transpose(n, r, rnd):
+    # planted U·Vᵀ: the minimum is at most r, so min_rank_exact(., r) finds it
+    m = with_diagonal(planted_matrix(rnd, n, r), random_diagonal(rnd, n))
+    value, witness = min_rank_exact(m, r)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    # (P·M·Pᵀ)[i][j] = M[perm[i]][perm[j]]
+    permuted = Gf2Matrix.from_rows([[m.entry(p, q) for q in perm] for p in perm])
+    transposed = Gf2Matrix.from_rows([[m.entry(j, i) for j in range(n)] for i in range(n)])
+    assert min_rank_exact(permuted, r)[0] == value
+    assert min_rank_exact(transposed, r)[0] == value
+    mapped = DiagonalAssignment.from_bits(witness.bits[p] for p in perm)
+    assert column_pivot_rank(with_diagonal(permuted, mapped).rows, n) == value
