@@ -7,6 +7,9 @@ micro-benchmark runner (bench).  ``--json`` switches any subcommand to
 the machine-readable payload; plain text output is human-facing and not
 stability-guaranteed.
 
+The argument parser is built once per process, by the first call of
+``build_parser`` (``main`` calls it), and reused by every later call.
+
 Exit codes: 0 success (and "yes" for decisions), 1 for "no"/"exhausted",
 2 for usage, input, format and guard errors.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import statistics
@@ -92,11 +96,16 @@ def _on_matrix(args) -> tuple[dict, str, int]:
     return payload, text, code
 
 
-def _bounds_json(lower: int, upper: int) -> dict[str, int]:
-    return {"lower": lower, "upper": upper}
-
-
 # Matrix handlers: (args, matrix) -> (payload fields, text, exit code).
+# A handler that reports a diagonal renders its text from the payload fields.
+
+
+def _witness(m, d, achieved: int | None = None, **fields: Any) -> dict[str, Any]:
+    """``fields`` plus the witness diagonal ``d`` of ``m`` and the rank it
+    reaches, which is computed unless the caller already knows it."""
+    if achieved is None:
+        achieved = gf2.rank(gf2.with_diagonal(m, d))
+    return {**fields, "witness_diagonal": d.to_string(), "achieved_rank": achieved}
 
 
 def _cmd_rank(args, m) -> tuple[dict, str, int]:
@@ -111,35 +120,27 @@ def _cmd_show(args, m) -> tuple[dict, str, int]:
 
 def _cmd_complete(args, m) -> tuple[dict, str, int]:
     completed, d = complete_nondegenerate(m)
-    matrix = gf2.render_matrix(completed)
-    fields = {
-        "answer": "yes",
-        "witness_diagonal": d.to_string(),
-        "achieved_rank": m.n,
-        "matrix": matrix,
-    }
-    return fields, f"diagonal: {d.to_string()}\n{matrix}".rstrip("\n"), 0
+    fields = _witness(m, d, m.n, answer="yes", matrix=gf2.render_matrix(completed))
+    text = "diagonal: {witness_diagonal}\n{matrix}".format_map(fields)
+    return fields, text.rstrip("\n"), 0
 
 
 def _cmd_decide(args, m) -> tuple[dict, str, int]:
     witness = rankmin.min_rank_decide(m, args.k).witness
     if witness is None:
         return {"k": args.k, "answer": "no"}, "no", 1
-    w = witness.to_string()
-    achieved = gf2.rank(gf2.with_diagonal(m, witness))
-    fields = {"k": args.k, "answer": "yes", "witness_diagonal": w, "achieved_rank": achieved}
-    return fields, f"yes witness={w} achieved_rank={achieved}", 0
+    fields = _witness(m, witness, k=args.k, answer="yes")
+    text = "yes witness={witness_diagonal} achieved_rank={achieved_rank}"
+    return fields, text.format_map(fields), 0
 
 
 def _cmd_approx(args, m) -> tuple[dict, str, int]:
     bounds, witness = rankmin.min_rank_approx(m)
-    w = witness.to_string()
-    fields = {
-        "rank_bounds": _bounds_json(bounds.lower, bounds.upper),
-        "witness_diagonal": w,
-        "achieved_rank": bounds.upper,
-    }
-    return fields, f"lower={bounds.lower} upper={bounds.upper} witness={w}", 0
+    fields = _witness(
+        m, witness, bounds.upper, rank_bounds={"lower": bounds.lower, "upper": bounds.upper}
+    )
+    text = "lower={rank_bounds[lower]} upper={achieved_rank} witness={witness_diagonal}"
+    return fields, text.format_map(fields), 0
 
 
 def _cmd_exact(args, m) -> tuple[dict, str, int]:
@@ -147,50 +148,29 @@ def _cmd_exact(args, m) -> tuple[dict, str, int]:
     if result is None:
         return {"k": args.k_max, "answer": "exhausted"}, f"exhausted k_max={args.k_max}", 1
     value, witness = result
-    w = witness.to_string()
-    fields = {
-        "k": value,
-        "answer": "yes",
-        "witness_diagonal": w,
-        "achieved_rank": gf2.rank(gf2.with_diagonal(m, witness)),
-    }
-    return fields, f"rank={value} witness={w}", 0
+    fields = _witness(m, witness, k=value, answer="yes")
+    return fields, "rank={k} witness={witness_diagonal}".format_map(fields), 0
 
 
 def _cmd_oracle(args, m) -> tuple[dict, str, int]:
     value, witness = rankmin.min_rank_oracle(m)
-    w = witness.to_string()
-    fields = {
-        "answer": "yes",
-        "rank_bounds": _bounds_json(value, value),
-        "witness_diagonal": w,
-        "achieved_rank": value,
-    }
-    return fields, f"rank={value} witness={w}", 0
+    fields = _witness(m, witness, value, answer="yes", rank_bounds={"lower": value, "upper": value})
+    return fields, "rank={achieved_rank} witness={witness_diagonal}".format_map(fields), 0
 
 
 def _cmd_upper_bound(args, m) -> tuple[dict, str, int]:
     d = rankmin.upper_bound_even_rows(m)
-    w = d.to_string()
-    achieved = gf2.rank(gf2.with_diagonal(m, d))
-    fields = {
-        "rank_bounds": _bounds_json(0, m.n - 1),
-        "witness_diagonal": w,
-        "achieved_rank": achieved,
-    }
-    return fields, f"witness={w} achieved_rank={achieved} bound={m.n - 1}", 0
+    fields = _witness(m, d, rank_bounds={"lower": 0, "upper": m.n - 1})
+    text = "witness={witness_diagonal} achieved_rank={achieved_rank} bound={rank_bounds[upper]}"
+    return fields, text.format_map(fields), 0
 
 
 def _cmd_hiero_canon(args) -> tuple[dict, str, int]:
     h = _read_hieroglyph(args.word)
     canon = hieroglyph.canonical_form(h)
-    payload = _payload(
-        "hiero-canon",
-        h.n,
-        alphabet=list(canon.alphabet),
-        canonical=canon.to_text(),
-    )
-    return payload, canon.to_text(), 0
+    text = canon.to_text()
+    payload = _payload("hiero-canon", h.n, alphabet=list(canon.alphabet), canonical=text)
+    return payload, text, 0
 
 
 def _cmd_gen(args) -> tuple[dict, str, int]:
@@ -240,6 +220,7 @@ def _cmd_bench(args) -> tuple[dict, str, int]:
     return {"command": "bench", "rows": rows}, "\n".join(lines), 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="emit a JSON payload")
@@ -303,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, text, code = args.func(args)
     except (gf2.MatrixFormatError, hieroglyph.HieroglyphFormatError, UnicodeDecodeError) as exc:

@@ -174,10 +174,7 @@ def min_rank_oracle(m: Gf2Matrix) -> tuple[int, DiagonalAssignment]:
             best_bits = bits
             if r == 0:
                 break
-    mask = 0
-    for i, b in enumerate(best_bits):
-        mask |= b << i
-    return best_rank, DiagonalAssignment(n, mask)
+    return best_rank, DiagonalAssignment.from_bits(best_bits)
 
 
 def upper_bound_even_rows(m: Gf2Matrix) -> DiagonalAssignment:

@@ -1,20 +1,23 @@
 import contextlib
+import importlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from diagrank.cli import main, run_bench
+from diagrank.cli import build_parser, main, run_bench
 from diagrank.generate import gen_random
-from diagrank.gf2 import parse_matrix, rank, with_diagonal
+from diagrank.gf2 import parse_matrix, rank, render_matrix, with_diagonal
 from diagrank.gf2 import DiagonalAssignment
 from diagrank.rankmin import min_rank_decide, min_rank_exact, min_rank_oracle
 
 ANTI_TEXT = "01\n10\n"
 
-BASE_KEYS = {"command", "n", "k", "answer", "rank_bounds", "witness_diagonal", "achieved_rank"}
+BASE_KEY_ORDER = ["command", "n", "k", "answer", "rank_bounds", "witness_diagonal", "achieved_rank"]
+BASE_KEYS = set(BASE_KEY_ORDER)
 
 
 def invoke(argv, stdin_text=None):
@@ -130,21 +133,63 @@ def test_complete_text(anti_file):
     assert out == "diagonal: 10\n11\n10\n"
 
 
-def test_json_fields_present_on_all_matrix_subcommands(anti_file):
-    for argv in (
-        ["rank", anti_file],
-        ["complete", anti_file],
-        ["decide", "--k", "1", anti_file],
-        ["approx", anti_file],
-        ["exact", "--k-max", "2", anti_file],
-        ["oracle", anti_file],
-        ["upper-bound", anti_file],
-    ):
-        code, payload = invoke_json(argv)
-        assert code == 0
-        assert BASE_KEYS <= payload.keys(), argv
-        assert payload["command"] == argv[0]
-        assert payload["n"] == 2
+def test_json_fields_present_on_all_matrix_subcommands(anti_file, tmp_path):
+    random_file = tmp_path / "r9.txt"
+    random_file.write_text(render_matrix(gen_random(9, 0.5, 4)))
+    for path in (anti_file, str(random_file)):
+        with open(path) as fh:
+            m = parse_matrix(fh.read())
+        minimum, _ = min_rank_oracle(m)  # 1 and 7
+        for argv in (
+            ["rank", path],
+            ["complete", path],
+            ["decide", "--k", "1", path],
+            ["decide", "--k", str(m.n), path],
+            ["decide", "--k", "0", path],
+            ["approx", path],
+            ["exact", "--k-max", "2", path],
+            ["exact", "--k-max", str(m.n), path],
+            ["exact", "--k-max", "0", path],
+            ["oracle", path],
+            ["upper-bound", path],
+        ):
+            code, payload = invoke_json(argv)
+            budget = int(argv[2]) if argv[0] in ("decide", "exact") else None
+            refused = budget is not None and budget < minimum
+            assert code == (1 if refused else 0), argv
+            assert (payload["answer"] in ("no", "exhausted")) == refused, argv
+            assert BASE_KEYS <= payload.keys(), argv
+            extra = ["matrix"] if argv[0] == "complete" else []
+            assert list(payload) == BASE_KEY_ORDER + extra, argv
+            assert payload["command"] == argv[0]
+            assert payload["n"] == m.n
+            witness = payload["witness_diagonal"]
+            if refused:
+                assert witness is None and payload["achieved_rank"] is None, argv
+            elif witness is not None:
+                d = DiagonalAssignment.from_string(witness)
+                assert payload["achieved_rank"] == rank(with_diagonal(m, d)), argv
+
+
+def test_shared_parser_keeps_no_state(anti_file):
+    assert build_parser() is build_parser()
+    code, _, _ = invoke(["gen", "--n", "3", "--seed", "5"])
+    assert code == 0
+    code, payload = invoke_json(["gen", "--n", "3"])
+    assert code == 0 and payload["seed"] == 0 and payload["density"] == 0.5
+    assert payload["matrix"] == render_matrix(gen_random(3, 0.5, 0))
+    code, payload = invoke_json(["decide", "--k", "1", anti_file])
+    assert code == 0 and payload["command"] == "decide" and payload["k"] == 1
+    code, payload = invoke_json(["hiero", "decide", "--k", "0", "abab"])
+    assert code == 1 and payload["command"] == "hiero-decide" and payload["k"] == 0
+    assert payload["twist_witness"] is None
+    code, payload = invoke_json(["decide", "--k", "1", anti_file])
+    assert code == 0 and "alphabet" not in payload
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["decide", anti_file])
+    assert exc.value.code == 2
+    assert invoke(["rank", anti_file]) == (0, "2\n", "")
 
 
 def test_json_flag_position_is_free(anti_file):
@@ -391,6 +436,79 @@ def test_usage_errors_exit_2(anti_file):
         assert exc.value.code == 2
 
 
+# help pages ----------------------------------------------------------------------------
+
+
+def help_text(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stdout(out):
+            main(argv + ["--help"])
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+def listed_subcommands(text, names):
+    rows = [line.split(None, 1) for line in text.splitlines()]
+    return [(row[0], row[1]) for row in rows if len(row) == 2 and row[0] in names]
+
+
+def test_top_level_help_lists_subcommands(monkeypatch):
+    subcommands = [
+        ("rank", "rank of a matrix"),
+        ("complete", "rewrite the diagonal to reach full rank"),
+        ("decide", "is some diagonal rewrite of rank <= k?"),
+        ("approx", "factor-2 bracket on the minimum rank"),
+        ("exact", "exact minimum rank, searching budgets 0..k-max"),
+        ("oracle", "brute-force minimum over all 2^n diagonals"),
+        ("upper-bound", "even-row-sum diagonal, rank <= n-1"),
+        ("hiero", "double-occurrence word pipeline"),
+        ("gen", "seeded random matrix with zero diagonal"),
+        ("bench", "median wall times as CSV"),
+    ]
+    text = help_text([], monkeypatch)
+    assert text.startswith("usage: diagrank ")
+    assert listed_subcommands(text, dict(subcommands)) == subcommands
+    hiero = [
+        ("overlap", "interlacement matrix of the word"),
+        ("decide", "realizable with at most k Möbius strips?"),
+        ("approx", "factor-2 bracket on the strip count"),
+        ("canon", "canonical form under rotation/reversal/relabeling"),
+    ]
+    text = help_text(["hiero"], monkeypatch)
+    assert text.startswith("usage: diagrank hiero ")
+    assert listed_subcommands(text, dict(hiero)) == hiero
+
+
+@pytest.mark.parametrize(
+    "argv, arguments",
+    (
+        (["decide"], ["file matrix file, or - for stdin", "--k K rank budget"]),
+        (
+            ["hiero", "decide"],
+            ["word word, file containing one, or - for stdin", "--k K strip budget"],
+        ),
+        (
+            ["bench"],
+            [
+                "--algo {approx,complete,decide,oracle,rank} operation to time",
+                "--sizes SIZES comma-separated dimensions, e.g. 16,32,64",
+                "--k K budget for decide timings",
+                "--reps REPS repetitions per size",
+                "--seed SEED instance seed",
+            ],
+        ),
+    ),
+)
+def test_subcommand_help_lists_arguments(monkeypatch, argv, arguments):
+    text = help_text(argv, monkeypatch)
+    assert text.startswith(f"usage: diagrank {' '.join(argv)} ")
+    flat = " ".join(text.split())  # help may sit on the argument's line or the next
+    for argument in arguments + ["--json emit a JSON payload", "-h, --help"]:
+        assert argument in flat, argument
+
+
 # end-to-end agreement ---------------------------------------------------------------
 
 
@@ -427,3 +545,12 @@ def test_console_script_smoke(tmp_path):
     proc = subprocess.run([exe, "oracle", str(path)], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "rank=1 witness=11\n"
+
+
+def test_console_script_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["diagrank"]
+    assert target == "diagrank.cli:main"
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
