@@ -4,8 +4,10 @@ For a square GF(2) matrix M, the quantity of interest is the smallest
 rank achievable by replacing the main-diagonal entries with arbitrary
 bits.  This module provides:
 
-* an exact fixed-budget decision (`min_rank_decide`) that runs in
-  ~n^(k+4) bit operations for budget k,
+* an exact fixed-budget decision (`min_rank_decide`) that scores at
+  most the C(n, <= k) flip sets below for budget k, each with one
+  elimination capped at rank k (~k n^2 bit operations), and in practice
+  only the few that the bounds below leave,
 * a factor-2 approximation (`min_rank_approx`) in ~n^3,
 * an exact search (`min_rank_exact`) in one sweep of the decision's
   enumeration,
@@ -19,16 +21,27 @@ diagonal places cannot reach rank <= k (erasing r diagonal ones lowers
 the rank by at most r), so only the rewrites A0 + E_S, flipping a set S
 of at most k diagonal cells of A0, need to be tried.  Hence the minimum
 rank is the least max(|S|, rank(A0 + E_S)) over all flip sets S.
+
+Two bounds rule out most flip sets before any elimination.  With
+u = rank(A0), rank(A0 + E_S) >= u - |S|, so sizes below u - k are
+skipped.  And rank(A0 + E_S) >= u + |S| - a_S - b_S, where a_S (b_S) is
+the dimension of the subcode of the column (row) space of A0 supported
+inside S: a flip set can reach rank <= k only if enough of its
+positions lie on low-weight codewords of both codes.  The 2^u codewords
+are listed only at a size s with 2^u <= C(n, s), so listing them never
+takes more steps than walking the flip sets of that size.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .completion import complete_nondegenerate
-from .gf2 import DiagonalAssignment, Gf2Matrix, rank_rows
+from .gf2 import DiagonalAssignment, Gf2Matrix, rank_rows, reduce_row
 
 ORACLE_MAX_DIM = 24
 
@@ -72,6 +85,79 @@ def _erased_completion(m: Gf2Matrix) -> tuple[int, list[int], int]:
     return d.complement().mask, erased, rank_rows(erased)
 
 
+def _factor(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Factor n packed n-bit rows as X·B over GF(2), B of full row rank.
+
+    B holds the independent rows as `reduce_row` leaves them, in the order
+    they were found; bit j of X[i] says that B[j] enters row i.  The
+    columns of X generate the column space, the rows of B the row space.
+    Basis row j carries bit n + j as a tag, so reducing a row by the basis
+    also collects the basis rows it used.
+    """
+    n = len(rows)
+    mask = (1 << n) - 1
+    pivots: dict[int, int] = {}
+    x = []
+    for row in rows:
+        reduced = reduce_row(row, pivots)
+        coeffs = reduced >> n
+        if reduced & mask:
+            tag = 1 << len(pivots)
+            coeffs |= tag
+            pivots[(reduced & -reduced).bit_length() - 1] = (reduced & mask) | (tag << n)
+        x.append(coeffs)
+    return x, [p & mask for p in pivots.values()]
+
+
+def _low_weight_support(gens: list[int], n: int) -> list[int]:
+    """Entry s is the union of the supports of codewords of weight 1..s.
+
+    The code is the span of the independent length-n words ``gens``; its
+    2^len(gens) codewords are walked in Gray-code order.
+    """
+    support = [0] * (n + 1)
+    word = 0
+    for i in range(1, 1 << len(gens)):
+        word ^= gens[(i & -i).bit_length() - 1]
+        support[word.bit_count()] |= word
+    return list(itertools.accumulate(support, operator.or_))
+
+
+def _cheap_subsets(costs: list[int], size: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Size-``size`` subsets of positions, in lexicographic order, costing <= budget.
+
+    A subset costs the sum of ``costs`` (each 0, 1 or 2) over its
+    positions.  A prefix is extended only while the cheapest completion
+    from the positions after it still fits the budget.
+    """
+    n = len(costs)
+    zeros = [0] * (n + 1)  # zeros[i], ones[i]: positions >= i of cost 0, 1
+    ones = [0] * (n + 1)
+    for i in reversed(range(n)):
+        zeros[i] = zeros[i + 1] + (costs[i] == 0)
+        ones[i] = ones[i + 1] + (costs[i] == 1)
+
+    def least(i: int, t: int) -> int:
+        """Least cost of t positions >= i."""
+        t -= zeros[i]
+        if t <= 0:
+            return 0
+        return t if t <= ones[i] else 2 * t - ones[i]
+
+    def walk(start: int, t: int, left: int, prefix: tuple[int, ...]):
+        if t == 0:
+            yield prefix
+            return
+        for i in range(start, n - t + 1):
+            if least(i, t) > left:  # least only grows with i
+                return
+            c = costs[i]
+            if c + least(i + 1, t - 1) <= left:
+                yield from walk(i + 1, t - 1, left - c, prefix + (i,))
+
+    return walk(0, size, budget, ()) if budget >= 0 else iter(())
+
+
 def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]]:
     """Yield ``(value, witness)`` each time a flip set improves on the best.
 
@@ -79,19 +165,44 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
     value of S is max(|S|, rank(A0 + E_S)) and the best starts at k + 1.
     The walk stops once |S| reaches the best value, so the first yield is
     the first flip set reaching rank <= k and the last one is the first
-    reaching the minimum.  With u = rank(A0), rank(A0 + E_S) >= u - |S|,
-    so a size s with u - s >= best cannot improve and is skipped; for
-    k < ceil(u/2) no flip set is tried at all.
+    reaching the minimum.
+
+    Only flip sets that can still beat the best are scored.  With
+    u = rank(A0), rank(A0 + E_S) >= u - |S|, so a size s with u - s >= best
+    is skipped; for k < ceil(u/2) no flip set is tried at all.  Within a
+    size s, rank(A0 + E_S) >= u + s - a_S - b_S, where a_S (b_S) is the
+    dimension of the subcode of colspace(A0) (rowspace(A0)) supported
+    inside S.  That subcode's support has at least a_S positions, each on
+    a codeword of weight <= s, so a_S (b_S) is at most the number of
+    positions of S on such codewords of the column (row) code.  Giving
+    position i the cost [i on none in the column code] + [i on none in
+    the row code], S can beat the best only if its cost is at most
+    s - (u - best + 1).  The codewords are listed, once per sweep, only
+    at sizes with 2^u <= C(n, s); at other sizes every flip set is a
+    candidate.
     """
     n = m.n
     base, erased, u = _erased_completion(m)
     best = k + 1
+    covered = None  # covered[code][s]: positions on a codeword of weight <= s
     for size in range(min(k, n) + 1):
         if size >= best:
             return
         if u - size >= best:
             continue
-        for flips in itertools.combinations(range(n), size):
+        if 1 << u <= math.comb(n, size):
+            if covered is None:
+                x, b = _factor(erased)
+                columns = [sum((c >> j & 1) << i for i, c in enumerate(x)) for j in range(u)]
+                covered = _low_weight_support(columns, n), _low_weight_support(b, n)
+            col_cover, row_cover = covered[0][size], covered[1][size]
+            costs = [2 - (col_cover >> i & 1) - (row_cover >> i & 1) for i in range(n)]
+            # fixed per size: an improvement that keeps the walk in this size
+            # lowers the best, and the surplus candidates are merely scored
+            candidates = _cheap_subsets(costs, size, size - (u - best + 1))
+        else:
+            candidates = itertools.combinations(range(n), size)
+        for flips in candidates:
             rows = erased.copy()
             w = base
             for i in flips:
@@ -113,9 +224,11 @@ def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
     Enumerates candidate diagonals through the invertible completion:
     flip sets of at most k diagonal positions, by ascending size and
     lexicographically within a size, so the returned witness is the
-    first success in that canonical order.  Sizes below u - k, where u is
-    the rank of the erased completion, are skipped, so k < ceil(u/2) is
-    a no without any search.  k >= n is trivially yes.
+    first success in that canonical order.  Only flip sets that pass the
+    size and codeword-support bounds are scored; the others cannot reach
+    rank <= k.  Sizes below u - k, where u is the rank of the erased
+    completion, are skipped, so k < ceil(u/2) is a no without any
+    search.  k >= n is trivially yes.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -144,8 +257,12 @@ def min_rank_exact(
     """Exact minimum achievable rank, if it is at most k_max.
 
     Returns ``(value, witness)`` or None when no rewrite reaches rank
-    k_max or less (the runtime grows as n^(k_max+4), so cap with care).
-    The witness is the one `min_rank_decide` returns for budget value.
+    k_max or less.  One sweep of the decision's flip sets at budget
+    k_max, pruned by the same bounds as the best value falls; where the
+    bounds rule nothing out (2^u > C(n, s), or every position on a
+    low-weight codeword) it scores up to C(n, <= k_max) flip sets, so cap
+    with care.  The witness is the one `min_rank_decide` returns for
+    budget value.
     """
     if k_max < 0:
         raise ValueError("budget cap must be non-negative")

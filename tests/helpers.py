@@ -6,9 +6,10 @@ diagonal against that span rank, interlacement by the pairwise crossing
 condition on occurrence positions, completion by one fresh minor per
 diagonal cell, rank by column-pivot elimination, canonical form by
 relabeling every rotation.  The exceptions are the slow paths of the
-search: `exact_by_decide` repeats the library's decision once per budget,
-and `unpruned_flip_sweep` is the flip-set sweep without its rank-bound
-pruning, on the library's completion and rank.
+search, on the library's completion and rank: `exact_by_decide` repeats
+the library's decision once per budget, `unpruned_flip_sweep` is the
+flip-set sweep without any pruning, and `size_pruned_flip_sweep` the
+sweep pruned by the size bound alone, with no codeword-support bound.
 """
 
 from __future__ import annotations
@@ -21,15 +22,20 @@ from collections.abc import Iterator
 from diagrank.completion import complete_nondegenerate
 from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, rank_rows, with_diagonal
 from diagrank.hieroglyph import Hieroglyph
-from diagrank.rankmin import min_rank_decide
+from diagrank.rankmin import _erased_completion, min_rank_decide
+
+
+def span(rows) -> set[int]:
+    """Every XOR combination of the packed rows, 0 included."""
+    words = {0}
+    for row in rows:
+        words |= {v ^ row for v in words}
+    return words
 
 
 def span_rank(m: Gf2Matrix) -> int:
     """Rank as log2 of the number of distinct XOR combinations of rows."""
-    span = {0}
-    for row in m.rows:
-        span |= {v ^ row for v in span}
-    return len(span).bit_length() - 1
+    return len(span(m.rows)).bit_length() - 1
 
 
 def brute_force_min_rank(m: Gf2Matrix) -> int:
@@ -237,6 +243,37 @@ def unpruned_flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAss
                     return
 
 
+def size_pruned_flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]]:
+    """The flip-set sweep of `rankmin` pruned by the size bound alone.
+
+    Every flip set of a size s with u - s < best is scored, u being the
+    rank of the erased completion; no codeword-support bound is applied.
+    Yields the same improvements, in the same order, as the library.
+    """
+    n = m.n
+    base, erased, u = _erased_completion(m)
+    best = k + 1
+    for size in range(min(k, n) + 1):
+        if size >= best:
+            return
+        if u - size >= best:
+            continue
+        for flips in itertools.combinations(range(n), size):
+            rows = erased.copy()
+            w = base
+            for i in flips:
+                rows[i] ^= 1 << i
+                w ^= 1 << i
+            value = max(size, rank_rows(rows, cap=best - 1))
+            if value < best:
+                best = value
+                yield value, DiagonalAssignment(n, w)
+                if best == size:  # no flip set of this size or larger can improve
+                    return
+                if u - size >= best:  # none of this size can improve
+                    break
+
+
 def planted_matrix(rng: random.Random, n: int, r: int) -> Gf2Matrix:
     """U·Vᵀ for random n x r factors U, V, with the diagonal zeroed.
 
@@ -250,3 +287,17 @@ def planted_matrix(rng: random.Random, n: int, r: int) -> Gf2Matrix:
         for i in range(n)
     )
     return Gf2Matrix(n, rows)
+
+
+def planted_noise_matrix(rng: random.Random, n: int, r: int, t: int) -> Gf2Matrix:
+    """`planted_matrix` with t distinct off-diagonal bits flipped.
+
+    The minimum is at most r + t, and the noise usually lifts it above
+    half the `approx` upper bound, so a sweep must certify "no" at the
+    sizes in between.
+    """
+    rows = list(planted_matrix(rng, n, r).rows)
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for i, j in rng.sample(cells, t):
+        rows[i] ^= 1 << j
+    return Gf2Matrix(n, tuple(rows))

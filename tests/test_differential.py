@@ -1,7 +1,7 @@
 """The single-pass completion and the pruned one-sweep search, checked
 against their slow paths (corner minors, one decision per budget, the
-sweep without rank-bound pruning) beyond the sizes the brute-force
-oracle reaches."""
+sweep without pruning and the sweep pruned by size alone) beyond the
+sizes the brute-force oracle reaches."""
 
 import random
 
@@ -10,13 +10,16 @@ import pytest
 from diagrank import rankmin
 from diagrank.completion import complete_nondegenerate
 from diagrank.gf2 import rank, rank_rows, with_diagonal
+from diagrank.hieroglyph import Hieroglyph, overlap_matrix
 from diagrank.rankmin import min_rank_approx, min_rank_decide, min_rank_exact
 from helpers import (
     corner_minor_completion,
     exact_by_decide,
     planted_matrix,
+    planted_noise_matrix,
     random_diagonal,
     random_matrix,
+    size_pruned_flip_sweep,
     span_rank,
     unpruned_flip_sweep,
 )
@@ -68,9 +71,8 @@ def test_exact_matches_decide_loop_planted(n, r):
     assert min_rank_approx(m)[0].lower <= value <= r
 
 
-def unpruned_results(m, k):
-    """(decision witness or None, exact result or None) of the unpruned sweep."""
-    results = list(unpruned_flip_sweep(m, k))
+def decision_and_exact(results):
+    """(decision witness or None, exact result or None) of a sweep's yields."""
     if not results:
         return None, None
     return results[0][1], results[-1]
@@ -79,17 +81,61 @@ def unpruned_results(m, k):
 def test_pruned_sweep_matches_unpruned_every_budget():
     for _, m in random_instances(34, 300, 10):
         for k in range(m.n + 2):
-            witness, exact = unpruned_results(m, k)
+            results = list(unpruned_flip_sweep(m, k))
+            assert list(rankmin._flip_sweep(m, k)) == results, (m.rows, k)
+            assert list(size_pruned_flip_sweep(m, k)) == results, (m.rows, k)
+            witness, exact = decision_and_exact(results)
             if k < m.n:  # k >= n is decided yes without a sweep
                 assert min_rank_decide(m, k).witness == witness, (m.rows, k)
             assert min_rank_exact(m, k) == exact, (m.rows, k)
+
+
+def assert_sweep_matches_size_pruned(m, k_max):
+    """Every yield, witnesses included, equals the reference's at each k <= k_max."""
+    for k in range(k_max + 1):
+        assert list(rankmin._flip_sweep(m, k)) == list(size_pruned_flip_sweep(m, k)), k
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_sweep_matches_size_pruned_planted(n, r):
+    assert_sweep_matches_size_pruned(planted_matrix(random.Random(n * 10 + r), n, r), r + 1)
+
+
+@pytest.mark.parametrize("n,r,t", [(48, 2, 2), (64, 2, 2), (32, 3, 2)])
+def test_sweep_matches_size_pruned_planted_noise(n, r, t):
+    m = planted_noise_matrix(random.Random(n * 100 + r * 10 + t), n, r, t)
+    assert_sweep_matches_size_pruned(m, r + t + 1)
+
+
+def block_word(rng, sizes):
+    """Concatenated random words on disjoint alphabets of the given sizes.
+
+    Letters of different blocks do not interlace, so the overlap matrix
+    is block diagonal and its erased completion has low rank.
+    """
+    word = []
+    for b, size in enumerate(sizes):
+        letters = [f"b{b}x{i}" for i in range(size)] * 2
+        rng.shuffle(letters)
+        word += letters
+    return Hieroglyph(tuple(word))
+
+
+def test_sweep_matches_size_pruned_overlap_matrices():
+    # symmetric, so the column and row codes are the same code
+    rng = random.Random(36)
+    for _ in range(40):
+        sizes = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 6))]
+        m = overlap_matrix(block_word(rng, sizes))
+        assert_sweep_matches_size_pruned(m, min(m.n, 6))
 
 
 @pytest.mark.parametrize("n,r", PLANTED)
 def test_pruned_sweep_matches_unpruned_planted(n, r):
     m = planted_matrix(random.Random(n * 10 + r), n, r)
     for k in range(r + 1):
-        witness, exact = unpruned_results(m, k)
+        witness, exact = decision_and_exact(list(unpruned_flip_sweep(m, k)))
         assert min_rank_decide(m, k).witness == witness, k
         assert min_rank_exact(m, k) == exact, k
 

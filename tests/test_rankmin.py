@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagrank import rankmin
 from diagrank.completion import complete_nondegenerate
-from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, rank, with_diagonal
+from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, rank, rank_rows, with_diagonal
 from diagrank.rankmin import (
     ORACLE_MAX_DIM,
     DecisionOutcome,
@@ -22,8 +24,10 @@ from helpers import (
     brute_force_min_rank,
     column_pivot_rank,
     planted_matrix,
+    planted_noise_matrix,
     random_diagonal,
     random_matrix,
+    span,
     span_rank,
 )
 
@@ -306,3 +310,176 @@ def test_exact_invariant_under_permutation_and_transpose(n, r, rnd):
     assert min_rank_exact(transposed, r)[0] == value
     mapped = DiagonalAssignment.from_bits(witness.bits[p] for p in perm)
     assert column_pivot_rank(with_diagonal(permuted, mapped).rows, n) == value
+
+
+# codeword-support bound -------------------------------------------------------
+
+
+def transpose(rows, n):
+    return [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+
+
+def small_instances(seed, count):
+    """Random and planted matrices with n < 12, alternately."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(1, 12)
+        if i % 2:
+            yield planted_matrix(rng, n, rng.randrange(1, 4))
+        else:
+            yield random_matrix(rng, n, rng.choice((0.1, 0.5, 0.9)))
+
+
+def test_factor_rebuilds_matrix():
+    rng = random.Random(51)
+    for i in range(200):
+        n = rng.randrange(65) if i else 0
+        m = random_matrix(rng, n, rng.choice((0.05, 0.5, 0.95)))
+        x, b = rankmin._factor(list(m.rows))
+        assert len(b) == column_pivot_rank(b, n) == column_pivot_rank(m.rows, n)
+        for row, coeffs in zip(m.rows, x):
+            assert coeffs >> len(b) == 0
+            rebuilt = 0
+            for j, basis_row in enumerate(b):
+                if coeffs >> j & 1:
+                    rebuilt ^= basis_row
+            assert rebuilt == row
+
+
+def test_low_weight_support_matches_span():
+    rng = random.Random(52)
+    for _ in range(100):
+        n = rng.randrange(1, 12)
+        gens = rankmin._factor([rng.getrandbits(n) for _ in range(n)])[1]
+        words = span(gens) - {0}
+        support = rankmin._low_weight_support(gens, n)
+        for s in range(n + 1):
+            expected = 0
+            for w in words:
+                if w.bit_count() <= s:
+                    expected |= w
+            assert support[s] == expected
+
+
+def test_cheap_subsets_are_the_lex_ordered_affordable_ones():
+    rng = random.Random(53)
+    for _ in range(100):
+        n = rng.randrange(9)
+        costs = [rng.randrange(3) for _ in range(n)]
+        for size in range(n + 1):
+            for budget in range(-1, 2 * size + 1):
+                expected = [
+                    s
+                    for s in itertools.combinations(range(n), size)
+                    if sum(costs[i] for i in s) <= budget
+                ]
+                assert list(rankmin._cheap_subsets(costs, size, budget)) == expected
+
+
+def test_support_bound_on_every_small_flip_set():
+    # rank(A0 + E_S) >= u + |S| - a_S - b_S, with a_S (b_S) the dimension of the
+    # column (row) code of A0 supported inside S, at most the positions of S
+    # on a nonzero codeword of weight <= |S|
+    for m in small_instances(54, 100):
+        n = m.n
+        _, erased, u = rankmin._erased_completion(m)
+        columns = transpose(erased, n)
+        codes = [span(columns) - {0}, span(erased) - {0}]
+        for s in range(min(3, n) + 1):
+            covered = [0, 0]
+            for c, words in enumerate(codes):
+                for w in words:
+                    if w.bit_count() <= s:
+                        covered[c] |= w
+            for flips in itertools.combinations(range(n), s):
+                rest = [i for i in range(n) if i not in flips]
+                a = u - column_pivot_rank([erased[i] for i in rest], n)
+                b = u - column_pivot_rank([columns[i] for i in rest], n)
+                rows = list(erased)
+                for i in flips:
+                    rows[i] ^= 1 << i
+                assert column_pivot_rank(rows, n) >= u + s - a - b
+                inside = sum(1 << i for i in flips)
+                assert a <= (inside & covered[0]).bit_count()
+                assert b <= (inside & covered[1]).bit_count()
+
+
+def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
+    # on a "no" the best stays k + 1, so the candidates are known in advance:
+    # every size s from u - k to k, and where 2^u <= C(n, s) only the flip
+    # sets with at least u + s - k positions on codewords of weight <= s,
+    # counted once per code
+    scored = []
+    erased = []
+
+    def recording_rank_rows(rows, cap=None):
+        if cap is not None:  # a scored flip set, not the rank of A0
+            scored.append(tuple(i for i, (a, b) in enumerate(zip(rows, erased)) if a != b))
+        return rank_rows(rows, cap)
+
+    monkeypatch.setattr(rankmin, "rank_rows", recording_rank_rows)
+    rng = random.Random(57)
+    nos = listed = 0
+    for _ in range(60):
+        n = rng.randrange(6, 17)
+        m = planted_noise_matrix(rng, n, rng.randrange(1, 4), rng.randrange(3))
+        _, erased[:], u = rankmin._erased_completion(m)
+        codes = [span(transpose(erased, n)) - {0}, span(erased) - {0}]
+        for k in range((u + 1) // 2, n):
+            scored.clear()
+            if min_rank_decide(m, k).is_yes:
+                break
+            nos += 1
+            expected = []
+            for s in range(max(u - k, 0), k + 1):
+                covered = [0, 0]
+                for c, words in enumerate(codes):
+                    for w in words:
+                        if w.bit_count() <= s:
+                            covered[c] |= w
+                listed += 1 << u <= math.comb(n, s)
+                for flips in itertools.combinations(range(n), s):
+                    inside = sum(1 << i for i in flips)
+                    on_codewords = sum((inside & cover).bit_count() for cover in covered)
+                    if 1 << u > math.comb(n, s) or on_codewords >= u + s - k:
+                        expected.append(flips)
+            assert scored == expected, (m.rows, k)
+    assert nos >= 20 and listed >= 20
+
+
+def test_planted_noise_exact_scores_few_flip_sets(monkeypatch):
+    m = planted_noise_matrix(random.Random(55), 64, 3, 2)
+    caps = []
+
+    def counting_rank_rows(rows, cap=None):
+        caps.append(cap)
+        return rank_rows(rows, cap)
+
+    monkeypatch.setattr(rankmin, "rank_rows", counting_rank_rows)
+    value, witness = min_rank_exact(m, 5)
+    assert len(caps) <= 10  # the size-pruned sweep makes hundreds of thousands
+    assert column_pivot_rank(with_diagonal(m, witness).rows, 64) == value
+    assert min_rank_approx(m)[0].lower <= value <= 5
+
+
+def test_no_codewords_listed_when_the_code_outnumbers_the_flip_sets(monkeypatch):
+    walks = []
+    listing = rankmin._low_weight_support
+
+    def counting(gens, n):
+        walks.append(len(gens))
+        return listing(gens, n)
+
+    monkeypatch.setattr(rankmin, "_low_weight_support", counting)
+    rng = random.Random(56)
+    m = next(
+        m
+        for m in (random_matrix(rng, 12) for _ in range(100))
+        if rankmin._erased_completion(m)[2] == 11
+    )
+    for k in range(12):
+        list(rankmin._flip_sweep(m, k))
+    assert walks == []  # 2^11 > C(12, s) for every s
+    planted = planted_noise_matrix(random.Random(55), 64, 3, 2)
+    list(rankmin._flip_sweep(planted, 5))
+    assert walks == [8, 8]  # both codes, once, for sizes 3 to 5
