@@ -13,7 +13,7 @@ earlier leading minor is 1, so row i reduced by the pivot rows 0..i-1
 (with a zero in place i) keeps that minor in bit i.  The diagonal value
 enters the reduced row additively, so setting a_i = 1 - (that bit) makes
 the reduced row a pivot for column i.  The reduction is `gf2.reduce_row`,
-shared with `gf2.rank_rows`, with pivot i keyed by bit i; the cost is
+shared with `gf2.basis`, with pivot i keyed by bit i; the cost is
 ~n^3 bit operations (word-parallel over packed rows).
 """
 

@@ -4,7 +4,8 @@ Rows are stored as Python integers: bit j of ``rows[i]`` holds entry
 (i, j).  Arbitrary-precision ints give whole-row XOR as a single
 word-parallel operation, which is what keeps the elimination and the
 diagonal searches built on top of it fast enough in pure Python.  All
-reduction is one loop, `reduce_row`, against pivots keyed by lowest bit.
+reduction is one loop, `reduce_row`, against pivots keyed by lowest bit,
+and all insertion into an XOR basis is one loop, `basis`.
 
 Matrices are immutable; every operation returns a fresh value.
 """
@@ -159,13 +160,14 @@ def reduce_row(row: int, pivots: dict[int, int]) -> int:
     return row
 
 
-def rank_rows(rows: Iterable[int], cap: int | None = None) -> int:
-    """Rank of packed rows over GF(2); ``rows`` is only read.
+def basis(rows: Iterable[int], cap: int | None = None) -> dict[int, int]:
+    """XOR basis of packed rows over GF(2), keyed by lowest set bit.
 
-    Rows are inserted one at a time into an XOR basis keyed by lowest
-    set bit.  With ``cap`` given, insertion stops as soon as the basis
-    grows past it and cap + 1 is returned, so the remaining rows are
-    never read; useful when only "rank <= cap?" is needed.
+    Rows are inserted one at a time, each reduced by `reduce_row` and kept
+    under its lowest set bit if nonzero, so no basis row has a set bit
+    below its key; ``rows`` is only read.  With ``cap`` given, insertion
+    stops as soon as the basis grows past it, to cap + 1 entries, so the
+    remaining rows are never read.
     """
     pivots: dict[int, int] = {}
     for row in rows:
@@ -174,7 +176,17 @@ def rank_rows(rows: Iterable[int], cap: int | None = None) -> int:
             pivots[(row & -row).bit_length() - 1] = row
             if cap is not None and len(pivots) > cap:
                 break
-    return len(pivots)
+    return pivots
+
+
+def rank_rows(rows: Iterable[int], cap: int | None = None) -> int:
+    """Rank of packed rows over GF(2): the size of their `basis`.
+
+    With ``cap`` given, cap + 1 is returned once the rank exceeds it, and
+    the remaining rows are never read; useful when only "rank <= cap?" is
+    needed.
+    """
+    return len(basis(rows, cap))
 
 
 def rank(m: Gf2Matrix) -> int:

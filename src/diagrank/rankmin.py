@@ -7,7 +7,7 @@ bits.  This module provides:
 * an exact fixed-budget decision (`min_rank_decide`) that scores at
   most the C(n, <= k) flip sets below for budget k, each with one
   elimination capped at rank k (~k n^2 bit operations), and in practice
-  only the few that the bounds below leave,
+  only the few that the rule below leaves,
 * a factor-2 approximation (`min_rank_approx`) in ~n^3,
 * an exact search (`min_rank_exact`) in one sweep of the decision's
   enumeration,
@@ -22,14 +22,10 @@ the rank by at most r), so only the rewrites A0 + E_S, flipping a set S
 of at most k diagonal cells of A0, need to be tried.  Hence the minimum
 rank is the least max(|S|, rank(A0 + E_S)) over all flip sets S.
 
-Two bounds rule out most flip sets before any elimination.  With
-u = rank(A0), rank(A0 + E_S) >= u - |S|, so sizes below u - k are
-skipped.  And rank(A0 + E_S) >= u + |S| - a_S - b_S, where a_S (b_S) is
-the dimension of the subcode of the column (row) space of A0 supported
-inside S: a flip set can reach rank <= k only if enough of its
-positions lie on low-weight codewords of both codes.  The 2^u codewords
-are listed only at a size s with 2^u <= C(n, s), so listing them never
-takes more steps than walking the flip sets of that size.
+A flip set is scored only if it can beat the best value so far: its
+value is at least max(|S|, rank(A0) - |S|), and too few of its positions
+on low-weight codewords of the row and column spaces of A0 rule out
+most of the rest (`_flip_sweep` gives the argument).
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .completion import complete_nondegenerate
-from .gf2 import DiagonalAssignment, Gf2Matrix, rank_rows, reduce_row
+from .gf2 import DiagonalAssignment, Gf2Matrix, basis, rank_rows
 
 ORACLE_MAX_DIM = 24
 
@@ -78,35 +74,11 @@ class DecisionOutcome:
         return self.witness is not None
 
 
-def _erased_completion(m: Gf2Matrix) -> tuple[int, list[int], int]:
-    """Diagonal mask, packed rows and rank of A0, the completion with its diagonal erased."""
+def _erased_completion(m: Gf2Matrix) -> tuple[int, list[int], dict[int, int]]:
+    """Diagonal mask, packed rows and row basis of A0, the completion with its diagonal erased."""
     completed, d = complete_nondegenerate(m)
     erased = [row ^ (1 << i) for i, row in enumerate(completed.rows)]
-    return d.complement().mask, erased, rank_rows(erased)
-
-
-def _factor(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Factor n packed n-bit rows as X·B over GF(2), B of full row rank.
-
-    B holds the independent rows as `reduce_row` leaves them, in the order
-    they were found; bit j of X[i] says that B[j] enters row i.  The
-    columns of X generate the column space, the rows of B the row space.
-    Basis row j carries bit n + j as a tag, so reducing a row by the basis
-    also collects the basis rows it used.
-    """
-    n = len(rows)
-    mask = (1 << n) - 1
-    pivots: dict[int, int] = {}
-    x = []
-    for row in rows:
-        reduced = reduce_row(row, pivots)
-        coeffs = reduced >> n
-        if reduced & mask:
-            tag = 1 << len(pivots)
-            coeffs |= tag
-            pivots[(reduced & -reduced).bit_length() - 1] = (reduced & mask) | (tag << n)
-        x.append(coeffs)
-    return x, [p & mask for p in pivots.values()]
+    return d.complement().mask, erased, basis(erased)
 
 
 def _low_weight_support(gens: list[int], n: int) -> list[int]:
@@ -163,38 +135,47 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
 
     Flip sets S are walked by ascending size, then lexicographically; the
     value of S is max(|S|, rank(A0 + E_S)) and the best starts at k + 1.
-    The walk stops once |S| reaches the best value, so the first yield is
-    the first flip set reaching rank <= k and the last one is the first
-    reaching the minimum.
+    The first yield is the first flip set reaching rank <= k, and the
+    last one is the first reaching the minimum.
 
     Only flip sets that can still beat the best are scored.  With
-    u = rank(A0), rank(A0 + E_S) >= u - |S|, so a size s with u - s >= best
-    is skipped; for k < ceil(u/2) no flip set is tried at all.  Within a
-    size s, rank(A0 + E_S) >= u + s - a_S - b_S, where a_S (b_S) is the
-    dimension of the subcode of colspace(A0) (rowspace(A0)) supported
-    inside S.  That subcode's support has at least a_S positions, each on
-    a codeword of weight <= s, so a_S (b_S) is at most the number of
-    positions of S on such codewords of the column (row) code.  Giving
-    position i the cost [i on none in the column code] + [i on none in
-    the row code], S can beat the best only if its cost is at most
-    s - (u - best + 1).  The codewords are listed, once per sweep, only
-    at sizes with 2^u <= C(n, s); at other sizes every flip set is a
-    candidate.
+    u = rank(A0), rank(A0 + E_S) >= u - |S|, so every flip set of size s
+    has value at least its floor max(s, u - s).  A size whose floor is at
+    least the best is skipped, and the walk leaves a size once an
+    improvement reaches its floor; for k < ceil(u/2) no flip set is
+    tried at all.
+
+    Within a size s, rank(A0 + E_S) >= u + s - a_S - b_S, where a_S (b_S)
+    is the dimension of the subcode of colspace(A0) (rowspace(A0))
+    supported inside S.  That subcode's support has at least a_S
+    positions, each on a codeword of weight <= s, so a_S (b_S) is at most
+    the number of positions of S on such codewords of the column (row)
+    code.  Giving position i the cost [i on none in the column code] +
+    [i on none in the row code], S can beat the best only if its cost is
+    at most s - (u - best + 1).
+
+    Both codes come from the XOR basis of A0's rows.  The basis rows
+    generate the row code.  No basis row has a set bit below its key, so
+    the basis restricted to the key columns is unitriangular; A0's
+    columns at the keys are then u independent vectors of colspace(A0)
+    and generate the column code.  The 2^u codewords are listed, once per
+    sweep, only at sizes with 2^u <= C(n, s), so listing them never takes
+    more steps than walking the flip sets of that size; at other sizes
+    every flip set is a candidate.
     """
     n = m.n
-    base, erased, u = _erased_completion(m)
+    base, erased, pivots = _erased_completion(m)
+    u = len(pivots)
     best = k + 1
     covered = None  # covered[code][s]: positions on a codeword of weight <= s
     for size in range(min(k, n) + 1):
-        if size >= best:
-            return
-        if u - size >= best:
+        floor = max(size, u - size)
+        if floor >= best:
             continue
         if 1 << u <= math.comb(n, size):
             if covered is None:
-                x, b = _factor(erased)
-                columns = [sum((c >> j & 1) << i for i, c in enumerate(x)) for j in range(u)]
-                covered = _low_weight_support(columns, n), _low_weight_support(b, n)
+                columns = [sum((row >> j & 1) << i for i, row in enumerate(erased)) for j in pivots]
+                covered = [_low_weight_support(code, n) for code in (columns, [*pivots.values()])]
             col_cover, row_cover = covered[0][size], covered[1][size]
             costs = [2 - (col_cover >> i & 1) - (row_cover >> i & 1) for i in range(n)]
             # fixed per size: an improvement that keeps the walk in this size
@@ -212,9 +193,7 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
             if value < best:
                 best = value
                 yield value, DiagonalAssignment(n, w)
-                if best == size:  # no flip set of this size or larger can improve
-                    return
-                if u - size >= best:  # none of this size can improve
+                if floor >= best:
                     break
 
 
@@ -224,11 +203,11 @@ def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
     Enumerates candidate diagonals through the invertible completion:
     flip sets of at most k diagonal positions, by ascending size and
     lexicographically within a size, so the returned witness is the
-    first success in that canonical order.  Only flip sets that pass the
-    size and codeword-support bounds are scored; the others cannot reach
-    rank <= k.  Sizes below u - k, where u is the rank of the erased
-    completion, are skipped, so k < ceil(u/2) is a no without any
-    search.  k >= n is trivially yes.
+    first success in that canonical order.  A flip set of size s is
+    scored only if max(s, u - s) <= k, u being the rank of the erased
+    completion, and enough of its positions lie on low-weight codewords;
+    so k < ceil(u/2) is a no without any search, and the worst case is
+    C(n, <= k) capped eliminations.  k >= n is trivially yes.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -247,7 +226,8 @@ def min_rank_approx(m: Gf2Matrix) -> tuple[RankBounds, DiagonalAssignment]:
     bound; no diagonal rewrite can do better than half of it.  The
     returned witness achieves the upper bound exactly.
     """
-    base, _, upper = _erased_completion(m)
+    base, _, pivots = _erased_completion(m)
+    upper = len(pivots)
     return RankBounds((upper + 1) // 2, upper), DiagonalAssignment(m.n, base)
 
 
@@ -258,11 +238,12 @@ def min_rank_exact(
 
     Returns ``(value, witness)`` or None when no rewrite reaches rank
     k_max or less.  One sweep of the decision's flip sets at budget
-    k_max, pruned by the same bounds as the best value falls; where the
-    bounds rule nothing out (2^u > C(n, s), or every position on a
-    low-weight codeword) it scores up to C(n, <= k_max) flip sets, so cap
-    with care.  The witness is the one `min_rank_decide` returns for
-    budget value.
+    k_max, scoring a flip set of size s only if max(s, u - s) is below
+    the best value so far and enough of its positions lie on low-weight
+    codewords; where that rules nothing out (2^u > C(n, s), or every
+    position on a low-weight codeword) it scores up to C(n, <= k_max)
+    flip sets, so cap with care.  The witness is the one `min_rank_decide`
+    returns for budget value.
     """
     if k_max < 0:
         raise ValueError("budget cap must be non-negative")

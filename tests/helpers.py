@@ -251,7 +251,8 @@ def size_pruned_flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, Diagonal
     Yields the same improvements, in the same order, as the library.
     """
     n = m.n
-    base, erased, u = _erased_completion(m)
+    base, erased, pivots = _erased_completion(m)
+    u = len(pivots)
     best = k + 1
     for size in range(min(k, n) + 1):
         if size >= best:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test and one printed verdict line per criterion.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the verdict
-lines; the whole suite is sized to finish in a few minutes of pure
-Python.
+lines.  This file takes about 10 s of pure Python, and the whole test
+suite about 20 s.
 """
 
 import random

@@ -102,10 +102,53 @@ def test_sweep_matches_size_pruned_planted(n, r):
     assert_sweep_matches_size_pruned(planted_matrix(random.Random(n * 10 + r), n, r), r + 1)
 
 
-@pytest.mark.parametrize("n,r,t", [(48, 2, 2), (64, 2, 2), (32, 3, 2)])
+NOISY = [(48, 2, 2), (64, 2, 2), (32, 3, 2)]
+
+
+@pytest.mark.parametrize("n,r,t", NOISY)
 def test_sweep_matches_size_pruned_planted_noise(n, r, t):
     m = planted_noise_matrix(random.Random(n * 100 + r * 10 + t), n, r, t)
     assert_sweep_matches_size_pruned(m, r + t + 1)
+
+
+def planted_sweep_instances():
+    """(matrix, k_max): the planted and planted+noise instances above."""
+    for n in (16, 32, 64):
+        for r in (1, 2, 3):
+            yield planted_matrix(random.Random(n * 10 + r), n, r), r + 1
+    for n, r in PLANTED:
+        yield planted_matrix(random.Random(n * 10 + r), n, r), r + 1
+    for n, r, t in NOISY:
+        yield planted_noise_matrix(random.Random(n * 100 + r * 10 + t), n, r, t), r + t + 1
+
+
+def test_sweep_leaves_a_size_once_an_improvement_reaches_its_floor(monkeypatch):
+    # every flip set of size s has value >= max(s, u - s), so once a yield
+    # reaches that floor no other flip set of size s is worth scoring
+    scored = []
+    erased = []
+
+    def recording_rank_rows(rows, cap=None):
+        scored.append(tuple(i for i, (a, b) in enumerate(zip(rows, erased)) if a != b))
+        return rank_rows(rows, cap)
+
+    monkeypatch.setattr(rankmin, "rank_rows", recording_rank_rows)
+    sweeps = exits = 0
+    for m, k_max in planted_sweep_instances():
+        _, erased[:], pivots = rankmin._erased_completion(m)
+        u = len(pivots)
+        for k in range(k_max + 1):
+            scored.clear()
+            floors = []  # (flip sets scored so far, size) at each yield on its floor
+            for value, _ in rankmin._flip_sweep(m, k):
+                size = len(scored[-1])
+                if value == max(size, u - size):
+                    floors.append((len(scored), size))
+            sweeps += 1
+            exits += bool(floors)
+            for done, size in floors:
+                assert all(len(flips) != size for flips in scored[done:]), (m.rows, k)
+    assert sweeps == 82 and exits >= 30  # 36 sweeps yield on a floor
 
 
 def block_word(rng, sizes):
@@ -151,4 +194,4 @@ def test_decide_below_half_the_bound_tries_no_flip_set(monkeypatch):
 
     monkeypatch.setattr(rankmin, "rank_rows", counting_rank_rows)
     assert not min_rank_decide(m, k).is_yes
-    assert caps == [None]  # only the rank of the erased completion
+    assert caps == []  # the rank of the erased completion comes from its basis

@@ -11,6 +11,7 @@ from diagrank.gf2 import (
     Gf2Matrix,
     MatrixFormatError,
     add,
+    basis,
     corner_minor,
     determinant,
     parse_matrix,
@@ -133,7 +134,7 @@ def test_rank_does_not_mutate():
     assert m.rows == before
 
 
-# rank_rows against the column-pivot elimination --------------------------------
+# rank_rows and basis against the column-pivot elimination ----------------------
 
 
 def row_lists(rng, count):
@@ -162,7 +163,12 @@ def test_rank_rows_matches_column_pivot_random():
     for rows, n in row_lists(random.Random(11), 400):
         before = list(rows)
         for cap in CAPS:
-            assert rank_rows(rows, cap) == column_pivot_rank(rows, n, cap), (rows, n, cap)
+            expected = column_pivot_rank(rows, n, cap)  # cap + 1 once the rank exceeds cap
+            assert rank_rows(rows, cap) == expected, (rows, n, cap)
+            pivots = basis(rows, cap)
+            assert len(pivots) == expected, (rows, n, cap)
+            assert all(row & -row == 1 << key for key, row in pivots.items()), (rows, cap)
+        assert column_pivot_rank(rows + list(basis(rows).values()), n) == len(basis(rows))
         assert rows == before  # the argument is only read
 
 
@@ -181,6 +187,12 @@ def test_rank_rows_stops_reading_past_cap():
     assert list(rows) == [3, 4, 8]
     rows = iter([0, 5, 5, 6])
     assert rank_rows(rows, cap=3) == 2
+    assert list(rows) == []
+    rows = iter([1, 1, 2, 3, 4, 8])
+    assert basis(rows, cap=1) == {0: 1, 1: 2}
+    assert list(rows) == [3, 4, 8]
+    rows = iter([0, 5, 5, 6])
+    assert basis(rows, cap=3) == {0: 5, 1: 6}
     assert list(rows) == []
 
 

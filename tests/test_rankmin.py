@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from diagrank import rankmin
 from diagrank.completion import complete_nondegenerate
-from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, rank, rank_rows, with_diagonal
+from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, basis, rank, rank_rows, with_diagonal
 from diagrank.rankmin import (
     ORACLE_MAX_DIM,
     DecisionOutcome,
@@ -330,27 +330,28 @@ def small_instances(seed, count):
             yield random_matrix(rng, n, rng.choice((0.1, 0.5, 0.9)))
 
 
-def test_factor_rebuilds_matrix():
+def test_key_columns_of_a0_generate_its_column_space():
+    # no basis row has a set bit below its key, so A0's columns at the keys
+    # are u = rank(A0) independent columns of A0: they span its column space
     rng = random.Random(51)
     for i in range(200):
         n = rng.randrange(65) if i else 0
-        m = random_matrix(rng, n, rng.choice((0.05, 0.5, 0.95)))
-        x, b = rankmin._factor(list(m.rows))
-        assert len(b) == column_pivot_rank(b, n) == column_pivot_rank(m.rows, n)
-        for row, coeffs in zip(m.rows, x):
-            assert coeffs >> len(b) == 0
-            rebuilt = 0
-            for j, basis_row in enumerate(b):
-                if coeffs >> j & 1:
-                    rebuilt ^= basis_row
-            assert rebuilt == row
+        if i % 2:
+            m = planted_matrix(rng, n, rng.randrange(1, 4))
+        else:
+            m = random_matrix(rng, n, rng.choice((0.05, 0.5, 0.95)))
+        _, erased, pivots = rankmin._erased_completion(m)
+        u = len(pivots)
+        assert u == column_pivot_rank(erased, n)
+        columns = transpose(erased, n)
+        assert column_pivot_rank([columns[j] for j in pivots], n) == u
 
 
 def test_low_weight_support_matches_span():
     rng = random.Random(52)
     for _ in range(100):
         n = rng.randrange(1, 12)
-        gens = rankmin._factor([rng.getrandbits(n) for _ in range(n)])[1]
+        gens = list(basis([rng.getrandbits(n) for _ in range(n)]).values())
         words = span(gens) - {0}
         support = rankmin._low_weight_support(gens, n)
         for s in range(n + 1):
@@ -382,7 +383,8 @@ def test_support_bound_on_every_small_flip_set():
     # on a nonzero codeword of weight <= |S|
     for m in small_instances(54, 100):
         n = m.n
-        _, erased, u = rankmin._erased_completion(m)
+        _, erased, pivots = rankmin._erased_completion(m)
+        u = len(pivots)
         columns = transpose(erased, n)
         codes = [span(columns) - {0}, span(erased) - {0}]
         for s in range(min(3, n) + 1):
@@ -413,8 +415,7 @@ def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
     erased = []
 
     def recording_rank_rows(rows, cap=None):
-        if cap is not None:  # a scored flip set, not the rank of A0
-            scored.append(tuple(i for i, (a, b) in enumerate(zip(rows, erased)) if a != b))
+        scored.append(tuple(i for i, (a, b) in enumerate(zip(rows, erased)) if a != b))
         return rank_rows(rows, cap)
 
     monkeypatch.setattr(rankmin, "rank_rows", recording_rank_rows)
@@ -423,7 +424,8 @@ def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
     for _ in range(60):
         n = rng.randrange(6, 17)
         m = planted_noise_matrix(rng, n, rng.randrange(1, 4), rng.randrange(3))
-        _, erased[:], u = rankmin._erased_completion(m)
+        _, erased[:], pivots = rankmin._erased_completion(m)
+        u = len(pivots)
         codes = [span(transpose(erased, n)) - {0}, span(erased) - {0}]
         for k in range((u + 1) // 2, n):
             scored.clear()
@@ -449,15 +451,24 @@ def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
 
 def test_planted_noise_exact_scores_few_flip_sets(monkeypatch):
     m = planted_noise_matrix(random.Random(55), 64, 3, 2)
+    erased = rankmin._erased_completion(m)[1]
     caps = []
+    bases = []
 
     def counting_rank_rows(rows, cap=None):
         caps.append(cap)
         return rank_rows(rows, cap)
 
+    def recording_basis(rows, cap=None):
+        bases.append(list(rows))
+        return basis(bases[-1], cap)
+
     monkeypatch.setattr(rankmin, "rank_rows", counting_rank_rows)
+    monkeypatch.setattr(rankmin, "basis", recording_basis)
     value, witness = min_rank_exact(m, 5)
     assert len(caps) <= 10  # the size-pruned sweep makes hundreds of thousands
+    # one insertion of A0's rows gives its rank and both codes
+    assert bases == [erased]
     assert column_pivot_rank(with_diagonal(m, witness).rows, 64) == value
     assert min_rank_approx(m)[0].lower <= value <= 5
 
@@ -475,7 +486,7 @@ def test_no_codewords_listed_when_the_code_outnumbers_the_flip_sets(monkeypatch)
     m = next(
         m
         for m in (random_matrix(rng, 12) for _ in range(100))
-        if rankmin._erased_completion(m)[2] == 11
+        if len(rankmin._erased_completion(m)[2]) == 11
     )
     for k in range(12):
         list(rankmin._flip_sweep(m, k))
