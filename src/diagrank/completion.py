@@ -15,11 +15,32 @@ enters the reduced row additively, so setting a_i = 1 - (that bit) makes
 the reduced row a pivot for column i.  The reduction is `gf2.reduce_row`,
 shared with `gf2.basis`, with pivot i keyed by bit i; the cost is
 ~n^3 bit operations (word-parallel over packed rows).
+
+Completed row i depends only on rows 0..i, so `completed_rows` produces
+the rows one at a time, and a caller that needs only the first t rows
+stops early after ~t^2 n bit operations; `complete_nondegenerate`
+drains it.
 """
 
 from __future__ import annotations
 
-from .gf2 import DiagonalAssignment, Gf2Matrix, reduce_row, with_diagonal
+from collections.abc import Iterator
+
+from .gf2 import DiagonalAssignment, Gf2Matrix, reduce_row
+
+
+def completed_rows(m: Gf2Matrix) -> Iterator[int]:
+    """Rows of the completion of ``m``, top to bottom, computed lazily.
+
+    Row i is ``m.rows[i]`` with a_i at (i, i); it is computed only when
+    requested, by reducing against the pivots of rows 0..i-1.
+    """
+    pivots: dict[int, int] = {}  # pivot i: bit i set, bits 0..i-1 clear
+    for i, row in enumerate(m.rows):
+        bit = 1 << i
+        reduced = reduce_row(row & ~bit, pivots)  # the minor with a zero at (i, i)
+        pivots[i] = reduced | bit
+        yield row & ~bit if reduced & bit else row | bit
 
 
 def complete_nondegenerate(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]:
@@ -30,13 +51,5 @@ def complete_nondegenerate(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]
     leading corner minor of ``completed`` is 1 as well.  The output is
     deterministic: the same input always yields the same diagonal.
     """
-    pivots: dict[int, int] = {}  # pivot i: bit i set, bits 0..i-1 clear
-    dmask = 0
-    for i, row in enumerate(m.rows):
-        bit = 1 << i
-        reduced = reduce_row(row & ~bit, pivots)  # the minor with a zero at (i, i)
-        if not reduced & bit:
-            dmask |= bit
-        pivots[i] = reduced | bit
-    d = DiagonalAssignment(m.n, dmask)
-    return with_diagonal(m, d), d
+    completed = Gf2Matrix(m.n, tuple(completed_rows(m)))
+    return completed, completed.diagonal()

@@ -3,6 +3,8 @@ import importlib
 import io
 import json
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -81,6 +83,16 @@ def test_decide_json_payloads(anti_file):
     code, payload = invoke_json(["decide", "--k", "0", anti_file])
     assert code == 1
     assert payload["answer"] == "no" and payload["witness_diagonal"] is None
+
+
+def test_readme_json_payload_example():
+    # the JSON payload section of the README shows a command and its output
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme[readme.index("### JSON payload") :]
+    pattern = r"`printf '(.*?)' \| diagrank (.*?)` prints:\n\n```json\n(.*?)```"
+    stdin_text, argv, shown = re.search(pattern, section, re.S).groups()
+    code, out, err = invoke(shlex.split(argv), stdin_text=stdin_text.replace("\\n", "\n"))
+    assert (code, out, err) == (0, shown, "")
 
 
 def test_approx_json(anti_file):

@@ -1,11 +1,12 @@
+import itertools
 import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diagrank.completion import complete_nondegenerate
+from diagrank.completion import complete_nondegenerate, completed_rows
 from diagrank.gf2 import Gf2Matrix, corner_minor, determinant, with_diagonal
-from helpers import random_diagonal, random_matrix
+from helpers import corner_minor_completion, random_diagonal, random_matrix
 
 # worked examples, traced by hand -------------------------------------------
 
@@ -93,3 +94,18 @@ def test_larger_random_instances():
         assert determinant(completed) == 1
         assert all(corner_minor(completed, s) == 1 for s in range(1, n + 1))
         assert with_diagonal(m, d) == completed
+
+
+# the lazy producer -----------------------------------------------------------
+
+
+def test_drained_rows_are_the_completion():
+    rng = random.Random(12)
+    for n in range(40):
+        m = with_diagonal(random_matrix(rng, n), random_diagonal(rng, n))
+        rows = tuple(completed_rows(m))
+        assert rows == complete_nondegenerate(m)[0].rows == corner_minor_completion(m)[0].rows
+        # a partial drain is a prefix: row i depends only on rows 0..i
+        t = rng.randrange(n + 1)
+        assert tuple(itertools.islice(completed_rows(m), t)) == rows[:t]
+

@@ -8,8 +8,9 @@ import random
 import pytest
 
 from diagrank import rankmin
-from diagrank.completion import complete_nondegenerate
-from diagrank.gf2 import rank, rank_rows, with_diagonal
+from diagrank.completion import complete_nondegenerate, completed_rows
+from diagrank.generate import gen_random
+from diagrank.gf2 import Gf2Matrix, rank, rank_rows, with_diagonal
 from diagrank.hieroglyph import Hieroglyph, overlap_matrix
 from diagrank.rankmin import min_rank_approx, min_rank_decide, min_rank_exact
 from helpers import (
@@ -18,6 +19,7 @@ from helpers import (
     planted_matrix,
     planted_noise_matrix,
     random_diagonal,
+    random_hieroglyph,
     random_matrix,
     size_pruned_flip_sweep,
     span_rank,
@@ -195,3 +197,75 @@ def test_decide_below_half_the_bound_tries_no_flip_set(monkeypatch):
     monkeypatch.setattr(rankmin, "rank_rows", counting_rank_rows)
     assert not min_rank_decide(m, k).is_yes
     assert caps == []  # the rank of the erased completion comes from its basis
+
+
+def boundary_instances():
+    """Every matrix with n <= 2, then random, planted, planted+noise and
+    overlap matrices small enough for the unpruned sweep."""
+    for n in range(3):
+        for bits in range(1 << n * n):
+            yield Gf2Matrix(n, tuple(bits >> i * n & (1 << n) - 1 for i in range(n)))
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randrange(3, 11)
+        m = random_matrix(rng, n, density=rng.choice((0.1, 0.5, 0.9)))
+        yield with_diagonal(m, random_diagonal(rng, n))
+    for n, r in ((16, 1), (24, 2), (32, 2), (20, 3)):
+        yield planted_matrix(random.Random(n * 10 + r), n, r)
+    for n, r, t in ((12, 1, 1), (16, 2, 1), (16, 1, 2), (20, 2, 2)):
+        yield planted_noise_matrix(random.Random(n * 100 + r * 10 + t), n, r, t)
+    for n in range(1, 11):
+        yield overlap_matrix(random_hieroglyph(rng, n))
+
+
+def test_decide_and_exact_at_the_cap_boundary():
+    # a sweep at budget k completes A0 only until its rank passes 2k, so
+    # k = ceil(u/2) - 1 is the largest budget answered from a prefix of A0
+    # and k = ceil(u/2) the smallest that completes in full
+    tight = {0: 0, 1: 0}  # budgets with u = 2k, u = 2k + 1
+    for m in boundary_instances():
+        u = min_rank_approx(m)[0].upper
+        for k in range(max((u + 1) // 2 - 1, 0), (u + 1) // 2 + 1):
+            if u - 2 * k in tight:
+                tight[u - 2 * k] += 1
+            witness, exact = decision_and_exact(list(unpruned_flip_sweep(m, k)))
+            if k < m.n:  # k >= n is decided yes without a sweep
+                assert min_rank_decide(m, k).witness == witness, (m.rows, k)
+            assert min_rank_exact(m, k) == exact == exact_by_decide(m, k), (m.rows, k)
+    assert min(tight.values()) >= 30
+
+
+LAZY_NOS = [("random", 128, s, 2) for s in (1, 2, 3, 7)] + [
+    ("noise", (96, 2, 3), 9623, 2),  # u = 7: rank 5 first at 17 rows
+    ("noise", (96, 2, 3), 9623, 3),  # rank 7 first at 75 rows
+    ("noise", (64, 3, 2), 6432, 3),  # u = 8: rank 7 first at 18 rows
+]
+
+
+@pytest.mark.parametrize("family,size,seed,k", LAZY_NOS)
+def test_a_no_completes_only_the_rows_it_needs(monkeypatch, family, size, seed, k):
+    # k < ceil(u/2) is a "no" once rank(A0) passes 2k, so the completion
+    # stops at the first t rows of A0 of rank 2k + 1
+    if family == "random":
+        m = gen_random(size, 0.5, seed)
+    else:
+        m = planted_noise_matrix(random.Random(seed), *size)
+    completed, _ = complete_nondegenerate(m)
+    erased = [row ^ (1 << i) for i, row in enumerate(completed.rows)]
+    t = next(t for t in range(m.n + 1) if rank_rows(erased[:t]) == 2 * k + 1)
+    pulled = []
+
+    def counting_completed_rows(m):
+        for row in completed_rows(m):
+            pulled.append(row)
+            yield row
+
+    monkeypatch.setattr(rankmin, "completed_rows", counting_completed_rows)
+    assert not min_rank_decide(m, k).is_yes
+    assert pulled == list(completed.rows[:t]) and t < m.n
+    pulled.clear()
+    assert min_rank_exact(m, k) is None
+    assert len(pulled) == t
+    pulled.clear()
+    min_rank_approx(m)  # the factor-2 bracket needs all of A0
+    assert len(pulled) == m.n
