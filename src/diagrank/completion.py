@@ -10,11 +10,14 @@ is invertible.
 
 All n minors come from one forward elimination without pivoting: every
 earlier leading minor is 1, so row i reduced by the pivot rows 0..i-1
-(with a zero in place i) keeps that minor in bit i.  The diagonal value
-enters the reduced row additively, so setting a_i = 1 - (that bit) makes
-the reduced row a pivot for column i.  The reduction is `gf2.reduce_row`,
-shared with `gf2.basis`, with pivot i keyed by bit i; the cost is
-~n^3 bit operations (word-parallel over packed rows).
+keeps in bit i the leading minor taken with the row's own diagonal
+value.  That value enters the minor additively, so a_i is the row's own
+value when the bit is 1 and its complement when it is 0; either way the
+reduced completed row is a pivot for column i.  The reduction is
+`gf2.reduce_rows`, shared with `gf2.basis`, with pivot i keyed by bit i.
+On dense rows it switches on Four-Russians tables after ~50 rows, and
+the cost is ~n^3/(64 W) word operations (W = `gf2.W` = 6) instead of
+~n^3/64; sparse rows, ~1 XOR each, never build a table.
 
 Completed row i depends only on rows 0..i, so `completed_rows` produces
 the rows one at a time, and a caller that needs only the first t rows
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .gf2 import DiagonalAssignment, Gf2Matrix, reduce_row
+from .gf2 import DiagonalAssignment, Gf2Matrix, reduce_rows
 
 
 def completed_rows(m: Gf2Matrix) -> Iterator[int]:
@@ -35,12 +38,13 @@ def completed_rows(m: Gf2Matrix) -> Iterator[int]:
     Row i is ``m.rows[i]`` with a_i at (i, i); it is computed only when
     requested, by reducing against the pivots of rows 0..i-1.
     """
+    rows = m.rows
     pivots: dict[int, int] = {}  # pivot i: bit i set, bits 0..i-1 clear
-    for i, row in enumerate(m.rows):
+    for i, reduced in enumerate(reduce_rows(rows, pivots)):
         bit = 1 << i
-        reduced = reduce_row(row & ~bit, pivots)  # the minor with a zero at (i, i)
         pivots[i] = reduced | bit
-        yield row & ~bit if reduced & bit else row | bit
+        # bit i is the minor with the row's own diagonal value: keep it if 1
+        yield rows[i] if reduced & bit else rows[i] ^ bit
 
 
 def complete_nondegenerate(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]:

@@ -8,7 +8,9 @@ bits.  This module provides:
   most the C(n, <= k) flip sets below for budget k, each with one
   elimination capped at rank k (~k n^2 bit operations), and in practice
   only the few that the rule below leaves,
-* a factor-2 approximation (`min_rank_approx`) in ~n^3,
+* a factor-2 approximation (`min_rank_approx`) in two eliminations,
+  ~n^3/(64 W) word operations on dense rows with the Four-Russians
+  tables of `gf2.reduce_rows` (W = 6), at most ~n^3/64 on the rest,
 * an exact search (`min_rank_exact`) in one sweep of the decision's
   enumeration,
 * a 2^n brute-force oracle (`min_rank_oracle`) for small matrices,

@@ -5,7 +5,8 @@ and search code: rank by row-span enumeration, min rank by trying every
 diagonal against that span rank, interlacement by the pairwise crossing
 condition on occurrence positions, completion by one fresh minor per
 diagonal cell, rank by column-pivot elimination, canonical form by
-relabeling every rotation.  The exceptions are the slow paths of the
+relabeling every rotation, XOR basis and completion by the lowest-bit
+loop without window tables.  The exceptions are the slow paths of the
 search, on the library's completion and rank: `exact_by_decide` repeats
 the library's decision once per budget, `unpruned_flip_sweep` is the
 flip-set sweep without any pruning, and `size_pruned_flip_sweep` the
@@ -186,6 +187,46 @@ def column_pivot_rank(rows: list[int], n: int, cap: int | None = None) -> int:
         if rank == nrows or (cap is not None and rank > cap):
             break
     return rank
+
+
+def plain_basis(rows, cap: int | None = None) -> dict[int, int]:
+    """`gf2.basis` without window tables: the lowest-bit loop alone.
+
+    Each row is reduced by the pivot keyed by its lowest set bit until
+    there is none, and kept under that bit if nonzero; with ``cap``,
+    reading stops once the basis has cap + 1 rows.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = _plain_reduce(row, pivots)
+        if row:
+            pivots[(row & -row).bit_length() - 1] = row
+            if cap is not None and len(pivots) > cap:
+                break
+    return pivots
+
+
+def plain_completed_rows(m: Gf2Matrix) -> Iterator[int]:
+    """`completion.completed_rows` by the lowest-bit loop alone.
+
+    Row i with a zero at (i, i) is reduced by the pivots of rows 0..i-1;
+    bit i of the result is the leading minor, and a_i its complement.
+    """
+    pivots: dict[int, int] = {}
+    for i, row in enumerate(m.rows):
+        bit = 1 << i
+        reduced = _plain_reduce(row & ~bit, pivots)
+        pivots[i] = reduced | bit
+        yield row & ~bit if reduced & bit else row | bit
+
+
+def _plain_reduce(row: int, pivots: dict[int, int]) -> int:
+    while row:
+        pivot = pivots.get((row & -row).bit_length() - 1)
+        if pivot is None:
+            break
+        row ^= pivot
+    return row
 
 
 def corner_minor_completion(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]:
