@@ -5,13 +5,13 @@ strips that weakly realize a double-occurrence cyclic word, via its
 interlacement matrix.
 """
 
-from .completion import complete_nondegenerate
 from .generate import SplitMix64, gen_random
 from .gf2 import (
     DiagonalAssignment,
     Gf2Matrix,
     MatrixFormatError,
     add,
+    complete_nondegenerate,
     corner_minor,
     determinant,
     parse_matrix,

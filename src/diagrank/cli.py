@@ -27,7 +27,6 @@ import time
 from typing import Any
 
 from . import generate, gf2, hieroglyph, rankmin
-from .completion import complete_nondegenerate
 
 # Largest dimension `gen` and `bench` accept: both cost n^2 or more.
 MAX_DIM = 2048
@@ -119,7 +118,7 @@ def _cmd_show(args, m) -> tuple[dict, str, int]:
 
 
 def _cmd_complete(args, m) -> tuple[dict, str, int]:
-    completed, d = complete_nondegenerate(m)
+    completed, d = gf2.complete_nondegenerate(m)
     fields = _witness(m, d, m.n, answer="yes", matrix=gf2.render_matrix(completed))
     text = "diagonal: {witness_diagonal}\n{matrix}".format_map(fields)
     return fields, text.rstrip("\n"), 0
@@ -182,7 +181,7 @@ def _cmd_gen(args) -> tuple[dict, str, int]:
 
 _BENCH_OPS = {
     "rank": lambda m, k: gf2.rank(m),
-    "complete": lambda m, k: complete_nondegenerate(m),
+    "complete": lambda m, k: gf2.complete_nondegenerate(m),
     "decide": lambda m, k: rankmin.min_rank_decide(m, k),
     "approx": lambda m, k: rankmin.min_rank_approx(m),
     "oracle": lambda m, k: rankmin.min_rank_oracle(m),

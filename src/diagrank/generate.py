@@ -35,12 +35,15 @@ def gen_random(n: int, density: float, seed: int) -> Gf2Matrix:
     Off-diagonal cells are visited in row-major order, one SplitMix64
     draw per cell; the entry is 1 when the draw is below
     ``density * 2**64`` (an exact integer threshold, so density 0 and 1
-    degenerate to the all-zero and all-one off-diagonal patterns).
+    degenerate to the all-zero and all-one off-diagonal patterns).  The
+    seed must lie in 0..2^64 - 1, the state space of the stream.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density {density} outside [0, 1]")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} outside 0..2^64 - 1")
     threshold = int(density * (1 << 64))
     rng = SplitMix64(seed)
     rows = []

@@ -4,13 +4,9 @@ Rows are stored as Python integers: bit j of ``rows[i]`` holds entry
 (i, j).  Arbitrary-precision ints give whole-row XOR as a single
 word-parallel operation, which is what keeps the elimination and the
 diagonal searches built on top of it fast enough in pure Python.  All
-reduction is one generator, `reduce_rows`, against pivots keyed by
-lowest bit, and all insertion into an XOR basis is one loop, `basis`.
-Dense reductions switch on Four-Russians tables of 2^W pivot
-combinations per W key columns, once their own count of single-pivot
-XORs shows the tables would pay: ~n^3/(64 W) word operations for n
-dense rows instead of ~n^3/64.  Sparse reductions never build a table
-and run the plain lowest-bit loop.
+reduction is one private generator, `_reduce_rows`, against pivots
+keyed by lowest bit.  It feeds the XOR basis (`basis`, `rank_rows`) and
+the invertible completion (`completed_rows`, `complete_nondegenerate`).
 
 Matrices are immutable; every operation returns a fresh value.
 """
@@ -62,7 +58,7 @@ class Gf2Matrix:
             mask = 0
             width = 0
             for j, v in enumerate(row):
-                if v not in (0, 1):
+                if not isinstance(v, int) or v not in (0, 1):
                     raise ValueError(f"entry {v!r} is not a bit")
                 mask |= v << j
                 width = j + 1
@@ -119,7 +115,7 @@ class DiagonalAssignment:
         mask = 0
         count = 0
         for i, b in enumerate(bits):
-            if b not in (0, 1):
+            if not isinstance(b, int) or b not in (0, 1):
                 raise ValueError(f"value {b!r} is not a bit")
             mask |= b << i
             count = i + 1
@@ -175,7 +171,7 @@ def _window_table(pivots: dict[int, int], start: int) -> list[int]:
     return table
 
 
-def reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
+def _reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
     """Yield each of ``rows`` reduced by ``pivots``, reading a row only when asked.
 
     ``pivots`` maps a bit index to a pivot row whose lowest set bit is
@@ -233,7 +229,7 @@ def reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
 def basis(rows: Iterable[int], cap: int | None = None) -> dict[int, int]:
     """XOR basis of packed rows over GF(2), keyed by lowest set bit.
 
-    Rows are inserted one at a time, each reduced by `reduce_rows` and
+    Rows are inserted one at a time, each reduced by `_reduce_rows` and
     kept under its lowest set bit if nonzero, so no basis row has a set
     bit below its key; ``rows`` is only read.  The key set depends only
     on the span, the basis rows may depend on how the reduction ran.
@@ -241,12 +237,54 @@ def basis(rows: Iterable[int], cap: int | None = None) -> dict[int, int]:
     it, to cap + 1 entries, so the remaining rows are never read.
     """
     pivots: dict[int, int] = {}
-    for row in reduce_rows(rows, pivots):
+    for row in _reduce_rows(rows, pivots):
         if row:
             pivots[(row & -row).bit_length() - 1] = row
             if cap is not None and len(pivots) > cap:
                 break
     return pivots
+
+
+def completed_rows(m: Gf2Matrix) -> Iterator[int]:
+    """Rows of the completion of ``m``, top to bottom, computed lazily.
+
+    The diagonal is chosen greedily from top-left to bottom-right: with
+    a_0..a_{i-1} already fixed, the leading (i+1) x (i+1) minor is taken
+    with a zero at (i, i) and a_i is set to its complement.  Expanding
+    the next minor along its last row shows that this forces every
+    leading minor of the result to 1.
+
+    All minors come from one forward elimination without pivoting: every
+    earlier leading minor is 1, so row i reduced by `_reduce_rows`
+    against completed rows 0..i-1, pivot j keyed by bit j, keeps in bit i
+    the leading minor taken with the row's own diagonal value.  That
+    value enters the minor additively, so a_i is the row's own value
+    when the bit is 1 and its complement when it is 0; either way the
+    reduced completed row is pivot i.  Row i depends only on rows 0..i
+    and is computed only when requested, so the first t rows cost
+    ~t^2 n bit operations.
+    """
+    rows = m.rows
+    pivots: dict[int, int] = {}  # pivot i: bit i set, bits 0..i-1 clear
+    for i, reduced in enumerate(_reduce_rows(rows, pivots)):
+        bit = 1 << i
+        pivots[i] = reduced | bit
+        # bit i is the minor with the row's own diagonal value: keep it if 1
+        yield rows[i] if reduced & bit else rows[i] ^ bit
+
+
+def complete_nondegenerate(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]:
+    """Rewrite the diagonal of ``m`` so the result has full rank.
+
+    Every square matrix can be made invertible this way.  Returns
+    ``(completed, d)`` where ``completed`` equals ``m`` outside the
+    diagonal, carries ``d`` on it, and has determinant 1; every leading
+    corner minor of ``completed`` is 1 as well.  The output is
+    deterministic: the same input always yields the same diagonal, the
+    one `completed_rows` produces.
+    """
+    completed = Gf2Matrix(m.n, tuple(completed_rows(m)))
+    return completed, completed.diagonal()
 
 
 def rank_rows(rows: Iterable[int], cap: int | None = None) -> int:

@@ -4,13 +4,9 @@ For a square GF(2) matrix M, the quantity of interest is the smallest
 rank achievable by replacing the main-diagonal entries with arbitrary
 bits.  This module provides:
 
-* an exact fixed-budget decision (`min_rank_decide`) that scores at
-  most the C(n, <= k) flip sets below for budget k, each with one
-  elimination capped at rank k (~k n^2 bit operations), and in practice
-  only the few that the rule below leaves,
+* an exact fixed-budget decision (`min_rank_decide`), at worst C(n, <= k)
+  eliminations capped at rank k,
 * a factor-2 approximation (`min_rank_approx`) in two eliminations,
-  ~n^3/(64 W) word operations on dense rows with the Four-Russians
-  tables of `gf2.reduce_rows` (W = 6), at most ~n^3/64 on the rest,
 * an exact search (`min_rank_exact`) in one sweep of the decision's
   enumeration,
 * a 2^n brute-force oracle (`min_rank_oracle`) for small matrices,
@@ -22,17 +18,8 @@ its erasure A0 = M' + I.  A rewrite differing from M' in fewer than n-k
 diagonal places cannot reach rank <= k (erasing r diagonal ones lowers
 the rank by at most r), so only the rewrites A0 + E_S, flipping a set S
 of at most k diagonal cells of A0, need to be tried.  Hence the minimum
-rank is the least max(|S|, rank(A0 + E_S)) over all flip sets S.
-
-A flip set is scored only if it can beat the best value so far: its
-value is at least max(|S|, rank(A0) - |S|), and too few of its positions
-on low-weight codewords of the row and column spaces of A0 rule out
-most of the rest (`_flip_sweep` gives the argument).  The same bound
-makes every budget k < ceil(rank(A0)/2) a "no", and the rank of A0's
-first rows already bounds rank(A0) from below, so decision and search
-complete M only until those rows pass rank 2k: ~t^2 n bit operations
-for a "no" from t rows, instead of ~n^3, and t is about 2k + 1 on
-random matrices.  The approximation completes in full.
+rank is the least max(|S|, rank(A0 + E_S)) over all flip sets S, and
+`_flip_sweep` scores only the flip sets that can beat the best so far.
 """
 
 from __future__ import annotations
@@ -43,8 +30,7 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .completion import completed_rows
-from .gf2 import DiagonalAssignment, Gf2Matrix, basis, rank_rows
+from .gf2 import DiagonalAssignment, Gf2Matrix, basis, completed_rows, rank_rows
 
 ORACLE_MAX_DIM = 24
 
@@ -224,15 +210,12 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
 def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
     """Decide whether some diagonal rewrite of ``m`` has rank <= k.
 
-    Enumerates candidate diagonals through the invertible completion:
-    flip sets of at most k diagonal positions, by ascending size and
-    lexicographically within a size, so the returned witness is the
-    first success in that canonical order.  A flip set of size s is
-    scored only if max(s, u - s) <= k, u being the rank of the erased
-    completion, and enough of its positions lie on low-weight codewords;
-    so k < ceil(u/2) is a no without any search, certified from the
-    first rows of the completion whose rank passes 2k, and the worst
-    case is C(n, <= k) capped eliminations.  k >= n is trivially yes.
+    Tries flip sets of at most k diagonal positions of the erased
+    completion, by ascending size and lexicographically within a size,
+    so the returned witness is the first success in that canonical
+    order.  Flip sets that cannot succeed are skipped (`_flip_sweep`);
+    the worst case is C(n, <= k) capped eliminations.  k >= n is
+    trivially yes.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -263,15 +246,9 @@ def min_rank_exact(
 
     Returns ``(value, witness)`` or None when no rewrite reaches rank
     k_max or less.  One sweep of the decision's flip sets at budget
-    k_max, scoring a flip set of size s only if max(s, u - s) is below
-    the best value so far (u the rank of the erased completion) and
-    enough of its positions lie on low-weight codewords; so
-    k_max < ceil(u/2) gives None, like a no of the decision, from the
-    first rows of the completion whose rank passes 2 k_max.  Where that
-    rules nothing out (2^u > C(n, s), or every position on a low-weight
-    codeword) it scores up to C(n, <= k_max) flip sets, so cap with
-    care.  The witness is the one `min_rank_decide` returns for budget
-    value.
+    k_max, skipping those that cannot beat the best value so far; at
+    worst it scores C(n, <= k_max) flip sets, so cap with care.  The
+    witness is the one `min_rank_decide` returns for budget value.
     """
     if k_max < 0:
         raise ValueError("budget cap must be non-negative")

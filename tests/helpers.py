@@ -20,8 +20,13 @@ import random
 import string
 from collections.abc import Iterator
 
-from diagrank.completion import complete_nondegenerate
-from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, rank_rows, with_diagonal
+from diagrank.gf2 import (
+    DiagonalAssignment,
+    Gf2Matrix,
+    complete_nondegenerate,
+    rank_rows,
+    with_diagonal,
+)
 from diagrank.hieroglyph import Hieroglyph
 from diagrank.rankmin import _erased_completion, min_rank_decide
 
@@ -207,7 +212,7 @@ def plain_basis(rows, cap: int | None = None) -> dict[int, int]:
 
 
 def plain_completed_rows(m: Gf2Matrix) -> Iterator[int]:
-    """`completion.completed_rows` by the lowest-bit loop alone.
+    """`gf2.completed_rows` by the lowest-bit loop alone.
 
     Row i with a zero at (i, i) is reduced by the pivots of rows 0..i-1;
     bit i of the result is the leading minor, and a_i its complement.

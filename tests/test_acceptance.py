@@ -10,12 +10,12 @@ import time
 
 import pytest
 
-from diagrank.completion import complete_nondegenerate
 from diagrank.generate import gen_random
 from diagrank.gf2 import (
     DiagonalAssignment,
     Gf2Matrix,
     add,
+    complete_nondegenerate,
     corner_minor,
     determinant,
     rank,

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import diagrank
 from diagrank.cli import build_parser, main, run_bench
 from diagrank.generate import gen_random
 from diagrank.gf2 import parse_matrix, rank, render_matrix, with_diagonal
@@ -17,6 +18,7 @@ from diagrank.gf2 import DiagonalAssignment
 from diagrank.rankmin import min_rank_decide, min_rank_exact, min_rank_oracle
 
 ANTI_TEXT = "01\n10\n"
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
 
 BASE_KEY_ORDER = ["command", "n", "k", "answer", "rank_bounds", "witness_diagonal", "achieved_rank"]
 BASE_KEYS = set(BASE_KEY_ORDER)
@@ -87,12 +89,30 @@ def test_decide_json_payloads(anti_file):
 
 def test_readme_json_payload_example():
     # the JSON payload section of the README shows a command and its output
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-    section = readme[readme.index("### JSON payload") :]
+    section = README[README.index("### JSON payload") :]
     pattern = r"`printf '(.*?)' \| diagrank (.*?)` prints:\n\n```json\n(.*?)```"
     stdin_text, argv, shown = re.search(pattern, section, re.S).groups()
     code, out, err = invoke(shlex.split(argv), stdin_text=stdin_text.replace("\\n", "\n"))
     assert (code, out, err) == (0, shown, "")
+
+
+def test_readme_library_names_resolve():
+    # every backticked name in the library bullets is a package attribute:
+    # a bare name on diagrank, a dotted one on the module it names
+    bullets = README[README.index("This package implements:") : README.index("## Install")]
+    spans = re.findall(r"`([^`]*)`", bullets)
+    assert "gf2.completed_rows" in spans
+    for span in spans:
+        match = re.fullmatch(r"(?:(\w+)\.)?(\w+)(?:\([\w, ]*\))?", span)
+        assert match, span
+        module, name = match.groups()
+        owner = importlib.import_module(f"diagrank.{module}") if module else diagrank
+        assert hasattr(owner, name), span
+
+
+def test_readme_library_example_runs():
+    (code,) = re.findall(r"## Library example\n\n```python\n(.*?)```", README, re.S)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_approx_json(anti_file):
@@ -327,6 +347,19 @@ def test_gen_dimension_guard():
     assert (code, out) == (2, "") and err.startswith("error:")
     code, _, err = invoke(["gen", "--n", "-1"])
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "3", "--seed", "-1"],
+        ["gen", "--n", "3", "--seed", str(2**64 + 1)],
+        ["bench", "--algo", "rank", "--sizes", "4", "--seed", str(2**64 - 1)],
+    ],
+)
+def test_seed_outside_64_bits_is_an_error(argv):
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "") and err.startswith("error:") and "seed" in err
 
 
 def test_gen_pipes_into_rank():

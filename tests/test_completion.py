@@ -4,8 +4,14 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diagrank.completion import complete_nondegenerate, completed_rows
-from diagrank.gf2 import Gf2Matrix, corner_minor, determinant, with_diagonal
+from diagrank.gf2 import (
+    Gf2Matrix,
+    complete_nondegenerate,
+    completed_rows,
+    corner_minor,
+    determinant,
+    with_diagonal,
+)
 from helpers import corner_minor_completion, random_diagonal, random_matrix
 
 # worked examples, traced by hand -------------------------------------------

@@ -8,9 +8,15 @@ import random
 import pytest
 
 from diagrank import rankmin
-from diagrank.completion import complete_nondegenerate, completed_rows
 from diagrank.generate import gen_random
-from diagrank.gf2 import Gf2Matrix, rank, rank_rows, with_diagonal
+from diagrank.gf2 import (
+    Gf2Matrix,
+    complete_nondegenerate,
+    completed_rows,
+    rank,
+    rank_rows,
+    with_diagonal,
+)
 from diagrank.hieroglyph import Hieroglyph, overlap_matrix
 from diagrank.rankmin import min_rank_approx, min_rank_decide, min_rank_exact
 from helpers import (

@@ -59,6 +59,9 @@ def test_from_rows_rejects_ragged_and_nonbits():
         Gf2Matrix.from_rows([[0, 1], [1]])
     with pytest.raises(ValueError):
         Gf2Matrix.from_rows([[0, 2], [1, 0]])
+    with pytest.raises(ValueError, match="is not a bit"):
+        Gf2Matrix.from_rows([[1.0]])
+    assert Gf2Matrix.from_rows([[True]]).rows == (1,)
 
 
 def test_padding_bits_rejected():
@@ -66,6 +69,8 @@ def test_padding_bits_rejected():
         Gf2Matrix(2, (0b100, 0))
     with pytest.raises(ValueError):
         Gf2Matrix(2, (0,))
+    with pytest.raises(ValueError):
+        Gf2Matrix(-1, ())
 
 
 def test_diagonal_assignment_validation():
@@ -77,6 +82,12 @@ def test_diagonal_assignment_validation():
         DiagonalAssignment(2, 0b100)
     with pytest.raises(ValueError):
         DiagonalAssignment.from_string("012")
+    with pytest.raises(ValueError):
+        DiagonalAssignment(-1, 0)
+    for bits in ([2], [1.0]):
+        with pytest.raises(ValueError, match="is not a bit"):
+            DiagonalAssignment.from_bits(bits)
+    assert DiagonalAssignment.from_bits([True, False]).to_string() == "10"
 
 
 def test_diagonal_as_matrix():
@@ -269,7 +280,7 @@ def test_parse_matrix_error_messages(text, message):
 
 
 def test_render_matrix():
-    assert render_matrix(Gf2Matrix.identity(2)) == "10\n01\n"
+    assert render_matrix(Gf2Matrix.identity(2)) == str(Gf2Matrix.identity(2)) == "10\n01\n"
     assert render_matrix(Gf2Matrix.zero(0)) == ""
 
 

@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagrank import rankmin
-from diagrank.completion import complete_nondegenerate
-from diagrank.gf2 import DiagonalAssignment, Gf2Matrix, basis, rank, rank_rows, with_diagonal
+from diagrank.gf2 import (
+    DiagonalAssignment,
+    Gf2Matrix,
+    basis,
+    complete_nondegenerate,
+    rank,
+    rank_rows,
+    with_diagonal,
+)
 from diagrank.rankmin import (
     ORACLE_MAX_DIM,
     DecisionOutcome,

@@ -1,4 +1,4 @@
-"""The Four-Russians window tables of `gf2.reduce_rows`, checked against
+"""The Four-Russians window tables of `gf2._reduce_rows`, checked against
 the lowest-bit loop without tables (`helpers.plain_basis`,
 `helpers.plain_completed_rows`), column-pivot elimination and corner
 minors, on both sides of the window edges (n = W - 1 .. 2W + 1) and of
@@ -11,9 +11,8 @@ import random
 import pytest
 
 from diagrank import gf2
-from diagrank.completion import completed_rows
 from diagrank.generate import gen_random
-from diagrank.gf2 import W, Gf2Matrix, basis, reduce_rows
+from diagrank.gf2 import W, Gf2Matrix, _reduce_rows, basis, completed_rows
 from diagrank.hieroglyph import overlap_matrix
 from diagrank.rankmin import min_rank_approx, min_rank_exact, min_rank_oracle
 from helpers import (
@@ -142,7 +141,7 @@ class LoggedPivots(dict):
 def test_tabulated_keys_are_never_looked_up_again(tables_built):
     pivots = LoggedPivots()
     pivots.looked = []
-    for row in reduce_rows(random_matrix(random.Random(7), 192).rows, pivots):
+    for row in _reduce_rows(random_matrix(random.Random(7), 192).rows, pivots):
         covered = tables_built[-1][0] + W if tables_built else 0
         assert all(key >= covered for key in pivots.looked)
         pivots.looked.clear()
