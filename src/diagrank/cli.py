@@ -196,6 +196,9 @@ def run_bench(algo: str, sizes: list[int], k: int, reps: int, seed: int) -> list
         raise ValueError("reps must be positive")
     for n in sizes:
         _check_dim(n)
+    top = max(sizes, default=0)
+    if not 0 <= seed <= (1 << 64) - 1 - top:
+        raise ValueError(f"seed {seed} outside 0..2^64 - 1 - {top}, where seed + n fits 64 bits")
     op = _BENCH_OPS[algo]
     results = []
     for n in sizes:

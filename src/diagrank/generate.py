@@ -42,7 +42,7 @@ def gen_random(n: int, density: float, seed: int) -> Gf2Matrix:
         raise ValueError("dimension must be non-negative")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density {density} outside [0, 1]")
-    if not 0 <= seed <= _MASK64:
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed {seed} outside 0..2^64 - 1")
     threshold = int(density * (1 << 64))
     rng = SplitMix64(seed)

@@ -39,8 +39,12 @@ class Gf2Matrix:
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows):
-            if row < 0 or row >> self.n:
-                raise ValueError(f"row {i} has bits outside columns 0..{self.n - 1}")
+            try:
+                if not (row < 0 or row >> self.n):
+                    continue
+            except TypeError:  # not an int, e.g. 1.0
+                pass
+            raise ValueError(f"row {i} has bits outside columns 0..{self.n - 1}")
 
     @classmethod
     def zero(cls, n: int) -> "Gf2Matrix":
@@ -99,7 +103,7 @@ class DiagonalAssignment:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("dimension must be non-negative")
-        if self.mask < 0 or self.mask >> self.n:
+        if not isinstance(self.mask, int) or self.mask < 0 or self.mask >> self.n:
             raise ValueError(f"assignment has bits outside positions 0..{self.n - 1}")
 
     @classmethod
@@ -148,26 +152,23 @@ class DiagonalAssignment:
 
 W = 6  # key columns per Four-Russians window
 _MASK = (1 << W) - 1
+_SWITCH = (4 << W) // W  # pivots from which dense rows pay for tables
 
 
 def _window_table(pivots: dict[int, int], start: int) -> list[int]:
     """The 2^W XOR combinations of the pivots keyed start..start+W-1.
 
-    The W pivots are first reduced to the identity on those columns and
-    stored back (keys and span unchanged), so entry i is the combination
-    whose bits there are i, read with ``row >> start & _MASK``.
+    Entry i is the one combination whose bits in those columns are i,
+    read with ``row >> start & _MASK``: the W pivots have W distinct
+    lowest bits there, so each pattern of window bits has exactly one.
+    ``pivots`` is only read.
     """
-    keys = range(start, start + W)
-    for key in reversed(keys):
-        pivot = pivots[key]
-        for above in range(key + 1, start + W):
-            if pivot >> above & 1:
-                pivot ^= pivots[above]
-        pivots[key] = pivot
-    table = [0]
-    for key in keys:
-        pivot = pivots[key]
-        table += [t ^ pivot for t in table]
+    combos = [0]
+    for key in range(start, start + W):
+        combos += [c ^ pivots[key] for c in combos]
+    table = [0] * (1 << W)
+    for combo in combos:
+        table[combo >> start & _MASK] = combo
     return table
 
 
@@ -175,34 +176,35 @@ def _reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
     """Yield each of ``rows`` reduced by ``pivots``, reading a row only when asked.
 
     ``pivots`` maps a bit index to a pivot row whose lowest set bit is
-    that index.  Each yielded row is 0 or has a lowest set bit that is
-    not a key.  Between yields the caller may add pivots, keyed the same
-    way; the generator may rewrite pivots in place, keeping every key,
-    the lowest-bit invariant and the span.
+    that index; it is only read, and between yields the caller may add
+    pivots keyed the same way.  A row is reduced by XORing in the pivot
+    keyed by its lowest set bit until there is none, so each yielded row
+    is 0 or has a lowest set bit that is not a key.  Tables change the
+    work, never the row: two such reductions of one row differ by a
+    combination of pivots keyed below that bit, and only 0 is such a
+    combination with no set bit below it.
 
-    A row is reduced by XORing in the pivot keyed by its lowest set bit
-    until there is none.  Windows are the W-column blocks starting at
-    0, W, 2W, ...; the next one to tabulate is the first past the
-    tabulated prefix.  `_window_table` tabulates it once all of these
-    hold:
+    Windows are the W-column blocks starting at 0, W, 2W, ...; the next
+    one to tabulate is the first past the tabulated prefix.  After a
+    yield, `_window_table` tabulates it when all of these hold:
 
-    * its W keys are all pivots;
-    * the single-pivot XORs spent so far reach (len(pivots) // W) * 2^W,
-      what tabulating every window the pivots could fill would cost;
-    * the reduced row reaches 2^(W-1) columns past the pivots, so enough
-      pivots can still come for the table to pay back its 2^W XORs at
-      about W/2 - 1 saved per later row.
+    * there are at least 4 * 2^W / W = 42 pivots: the ~k^2/4 XORs that
+      k dense rows spend reach there the (k / W) * 2^W that tabulating
+      every window k pivots could fill costs;
+    * the row just reduced has at least 2^(W-2) set bits, so rows are
+      not collapsing onto few pivots;
+    * it reaches 2^(W-1) columns past the pivots, so enough pivots can
+      still come for the table to pay back its 2^W XORs at about
+      W/2 - 1 saved per later row;
+    * the window's W keys are all pivots.
 
-    Each later row first takes one lookup per table, and only then the
-    lowest-bit loop.  Dense rows spend ~k/2 XORs against k pivots and
-    switch on after ~4 * 2^W / W = 43 pivots; an elimination of n dense
-    rows then costs ~n^3/(64 W) word operations instead of ~n^3/64.
-    Sparse reductions, ~1 XOR per row, never switch on and pay nothing.
+    Each later row first takes one lookup per table, which clears the
+    tabulated columns, and only then the lowest-bit loop.  An
+    elimination of n dense rows then costs ~n^3/(64 W) word operations
+    instead of ~n^3/64; sparse or collapsing reductions never switch on.
     """
     tables: list[tuple[int, list[int]]] = []
     start = 0  # first key of the next window to tabulate
-    spent = 0  # single-pivot XORs so far
-    due = 1 << W  # spent at which the switch is next checked
     get = pivots.get
     for row in rows:
         if tables:  # no iterator per row while no table is built
@@ -213,17 +215,15 @@ def _reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
             if pivot is None:
                 break
             row ^= pivot
-            spent += 1
         yield row
-        if row and spent >= due and len(pivots) >= start + W:
-            due = len(pivots) // W << W
-            if (
-                spent >= due
-                and row.bit_length() >= len(pivots) + (1 << W - 1)
-                and all(map(pivots.__contains__, range(start, start + W)))
-            ):
-                tables.append((start, _window_table(pivots, start)))
-                start += W
+        if (
+            len(pivots) >= _SWITCH
+            and row.bit_count() >= 1 << W - 2
+            and row.bit_length() >= len(pivots) + (1 << W - 1)
+            and all(map(pivots.__contains__, range(start, start + W)))
+        ):
+            tables.append((start, _window_table(pivots, start)))
+            start += W
 
 
 def basis(rows: Iterable[int], cap: int | None = None) -> dict[int, int]:
@@ -231,8 +231,8 @@ def basis(rows: Iterable[int], cap: int | None = None) -> dict[int, int]:
 
     Rows are inserted one at a time, each reduced by `_reduce_rows` and
     kept under its lowest set bit if nonzero, so no basis row has a set
-    bit below its key; ``rows`` is only read.  The key set depends only
-    on the span, the basis rows may depend on how the reduction ran.
+    bit below its key; ``rows`` is only read.  The basis rows are those
+    of the plain lowest-bit loop: window tables change the work only.
     With ``cap`` given, insertion stops as soon as the basis grows past
     it, to cap + 1 entries, so the remaining rows are never read.
     """

@@ -355,11 +355,15 @@ def test_gen_dimension_guard():
         ["gen", "--n", "3", "--seed", "-1"],
         ["gen", "--n", "3", "--seed", str(2**64 + 1)],
         ["bench", "--algo", "rank", "--sizes", "4", "--seed", str(2**64 - 1)],
+        ["bench", "--algo", "rank", "--sizes", "4", "--seed", "-1"],
+        # seed + 4 fits, seed + 5 does not
+        ["bench", "--algo", "rank", "--sizes", "4,5", "--seed", str(2**64 - 5)],
     ],
 )
 def test_seed_outside_64_bits_is_an_error(argv):
     code, out, err = invoke(argv)
-    assert (code, out) == (2, "") and err.startswith("error:") and "seed" in err
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert f"seed {argv[argv.index('--seed') + 1]} " in err  # the seed as given
 
 
 def test_gen_pipes_into_rank():
@@ -407,7 +411,7 @@ def test_bench_json_rows():
     assert row["median_seconds"] >= 0
 
 
-def test_run_bench_validates():
+def test_run_bench_validates(monkeypatch):
     with pytest.raises(ValueError):
         run_bench("rank", [4], 1, 0, 0)
     with pytest.raises(ValueError):
@@ -416,6 +420,13 @@ def test_run_bench_validates():
         run_bench("rank", [5000], 1, 1, 0)
     with pytest.raises(ValueError):
         run_bench("nope", [4], 1, 1, 0)
+    with pytest.raises(ValueError, match="seed -1 "):
+        run_bench("rank", [], 1, 1, -1)
+    timed = []
+    monkeypatch.setitem(diagrank.cli._BENCH_OPS, "rank", lambda m, k: timed.append(m.n))
+    with pytest.raises(ValueError, match=f"seed {2**64 - 5} "):
+        run_bench("rank", [4, 5], 1, 1, 2**64 - 5)
+    assert timed == []  # every seed is checked before the first size is timed
 
 
 # error reporting ----------------------------------------------------------------------

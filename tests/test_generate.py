@@ -60,8 +60,9 @@ def test_gen_random_validation():
         gen_random(4, 1.1, 0)
     with pytest.raises(ValueError):
         gen_random(-1, 0.5, 0)
-    for seed in (-1, 2**64, 2**64 + 1):
+    for seed in (-1, 2**64, 2**64 + 1, 1.5, 1.0):
         with pytest.raises(ValueError, match="seed"):
             gen_random(4, 0.5, seed)
+    assert gen_random(3, 0.5, True) == gen_random(3, 0.5, 1)
     assert gen_random(4, 0.5, 2**64 - 1).n == 4
     assert gen_random(0, 0.5, 0).n == 0

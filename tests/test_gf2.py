@@ -65,8 +65,10 @@ def test_from_rows_rejects_ragged_and_nonbits():
 
 
 def test_padding_bits_rejected():
-    with pytest.raises(ValueError):
-        Gf2Matrix(2, (0b100, 0))
+    for rows in ((0b100, 0), (1.0, 0), (0, "1")):
+        with pytest.raises(ValueError, match="outside columns"):
+            Gf2Matrix(2, rows)
+    assert Gf2Matrix(2, (True, False)).rows == (1, 0)
     with pytest.raises(ValueError):
         Gf2Matrix(2, (0,))
     with pytest.raises(ValueError):
@@ -78,8 +80,10 @@ def test_diagonal_assignment_validation():
     assert DiagonalAssignment.from_bits([1, 0]).to_string() == "10"
     assert DiagonalAssignment.ones(3).weight() == 3
     assert DiagonalAssignment.zeros(0).to_string() == ""
-    with pytest.raises(ValueError):
-        DiagonalAssignment(2, 0b100)
+    for mask in (0b100, 1.0):
+        with pytest.raises(ValueError, match="outside positions"):
+            DiagonalAssignment(2, mask)
+    assert DiagonalAssignment(2, True).to_string() == "10"
     with pytest.raises(ValueError):
         DiagonalAssignment.from_string("012")
     with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
-"""The Four-Russians window tables of `gf2._reduce_rows`, checked against
-the lowest-bit loop without tables (`helpers.plain_basis`,
-`helpers.plain_completed_rows`), column-pivot elimination and corner
-minors, on both sides of the window edges (n = W - 1 .. 2W + 1) and of
-the switch (tables come on only in dense reductions of ~50 rows or
-more)."""
+"""The Four-Russians window tables of `gf2._reduce_rows` change its work,
+never its output: every basis (at every cap) and every completion equals
+the lowest-bit loop's without tables (`helpers.plain_basis`,
+`helpers.plain_completed_rows`, and corner minors), on both sides of the
+window edges (n = W - 1 .. 2W + 1) and of the switch (tables come on only
+in dense reductions of ~50 rows or more), and the caller's pivots are
+only read."""
 
 import itertools
 import random
@@ -67,11 +68,8 @@ def tables_built(monkeypatch):
     return built
 
 
-def assert_same_basis(got: dict[int, int], expected: dict[int, int], n: int, span: bool):
-    assert list(got) == list(expected)  # same keys, inserted in the same order
-    assert all(row & -row == 1 << key for key, row in got.items())
-    if span:
-        assert column_pivot_rank([*got.values(), *expected.values()], n) == len(expected)
+def assert_same_basis(got: dict[int, int], expected: dict[int, int]):
+    assert list(got.items()) == list(expected.items())  # rows and insertion order
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -79,12 +77,11 @@ def assert_same_basis(got: dict[int, int], expected: dict[int, int], n: int, spa
 def test_basis_at_every_cap_matches_the_plain_loop(family, n, tables_built):
     rows = family_matrix(family, n).rows
     rank = column_pivot_rank(rows, n)
-    assert_same_basis(basis(rows), plain_basis(rows), n, span=True)
+    assert_same_basis(basis(rows), plain_basis(rows))
     assert len(basis(rows)) == rank
     for cap in range(rank + 1):
         unread, plain_unread = iter(rows), iter(rows)
-        # spans at a stride of W + 1, which meets every cap residue mod W
-        assert_same_basis(basis(unread, cap), plain_basis(plain_unread, cap), n, cap % (W + 1) == 0)
+        assert_same_basis(basis(unread, cap), plain_basis(plain_unread, cap))
         assert list(unread) == list(plain_unread)
     if family == "hole":
         assert tables_built == []
@@ -113,18 +110,16 @@ def test_window_table_is_the_span_of_the_window_pivots(start):
         pivots = {key: (rng.getrandbits(n) >> key | 1) << key for key in range(n)}
         before = dict(pivots)
         table = gf2._window_table(pivots, start)
-        assert list(pivots) == list(before)
-        assert all(pivots[key] == before[key] for key in before if not start <= key < start + W)
-        assert all(row & -row == 1 << key for key, row in pivots.items())
+        assert list(pivots.items()) == list(before.items())  # only read
         window = [pivots[key] for key in range(start, start + W)]
-        assert [p >> start & gf2._MASK for p in window] == [1 << i for i in range(W)]
-        assert column_pivot_rank(window + [before[key] for key in range(start, start + W)], n) == W
+        units = [table[1 << i] for i in range(W)]
+        assert column_pivot_rank(window + units, n) == W  # the span of the window pivots
         assert len(table) == 1 << W
         for i, entry in enumerate(table):
             combo = 0
-            for j, pivot in enumerate(window):
+            for j, unit in enumerate(units):
                 if i >> j & 1:
-                    combo ^= pivot
+                    combo ^= unit
             assert entry == combo and entry >> start & gf2._MASK == i
 
 
@@ -165,4 +160,6 @@ def test_sparse_reductions_build_no_table(tables_built):
     for _ in range(3):
         min_rank_exact(planted_matrix(rng, 128, 2), 2)
     min_rank_oracle(gen_random(12, 0.5, 1))
+    # rows e_i + e_256 keep every pivot and reach far past them, but stay sparse
+    gf2.rank(Gf2Matrix(257, tuple(1 << i | 1 << 256 for i in range(257))))
     assert tables_built == []
