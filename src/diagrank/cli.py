@@ -301,10 +301,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2) if args.json else text, flush=True)
+    except BrokenPipeError:  # the reader went away; the exit flush must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

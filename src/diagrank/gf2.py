@@ -158,17 +158,18 @@ _SWITCH = (4 << W) // W  # pivots from which dense rows pay for tables
 def _window_table(pivots: dict[int, int], start: int) -> list[int]:
     """The 2^W XOR combinations of the pivots keyed start..start+W-1.
 
-    Entry i is the one combination whose bits in those columns are i,
-    read with ``row >> start & _MASK``: the W pivots have W distinct
-    lowest bits there, so each pattern of window bits has exactly one.
-    ``pivots`` is only read.
+    Entry i is the one whose window bits, ``row >> start & _MASK``, are
+    i.  It takes one XOR, highest key first: the pivot keyed start + j,
+    for j the lowest set bit of i, plus entry i ^ low, where low is that
+    pivot's window bits; i ^ low has no bit at or below j, so it is
+    already filled.  ``pivots`` is only read.
     """
-    combos = [0]
-    for key in range(start, start + W):
-        combos += [c ^ pivots[key] for c in combos]
     table = [0] * (1 << W)
-    for combo in combos:
-        table[combo >> start & _MASK] = combo
+    for j in reversed(range(W)):
+        pivot = pivots[start + j]
+        low = pivot >> start & _MASK
+        for i in range(1 << j, 1 << W, 2 << j):  # every i whose lowest set bit is j
+            table[i] = pivot ^ table[i ^ low]
     return table
 
 
@@ -193,11 +194,10 @@ def _reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
       every window k pivots could fill costs;
     * the row just reduced has at least 2^(W-2) set bits, so rows are
       not collapsing onto few pivots;
-    * it reaches 2^(W-1) columns past the pivots, so enough pivots can
-      still come for the table to pay back its 2^W XORs at about
-      W/2 - 1 saved per later row;
     * the window's W keys are all pivots.
 
+    No rule asks how far rows reach past the pivots: with keys 0..k-1 a
+    reduced row has no bit below k, so its 2^(W-2) set bits lie past them.
     Each later row first takes one lookup per table, which clears the
     tabulated columns, and only then the lowest-bit loop.  An
     elimination of n dense rows then costs ~n^3/(64 W) word operations
@@ -219,7 +219,6 @@ def _reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
         if (
             len(pivots) >= _SWITCH
             and row.bit_count() >= 1 << W - 2
-            and row.bit_length() >= len(pivots) + (1 << W - 1)
             and all(map(pivots.__contains__, range(start, start + W)))
         ):
             tables.append((start, _window_table(pivots, start)))

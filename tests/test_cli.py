@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -588,6 +589,19 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+@pytest.mark.parametrize("n, head", [(2000, 10), (3, 0)])
+def test_closed_pipe_exits_2_without_traceback(n, head):
+    # n = 2000 writes ~4 MB, so the print meets the closed pipe; n = 3 fits
+    # in stdout's buffer, which then meets it when flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "diagrank", "gen", "--n", str(n), "--seed", "1"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(head)) == head
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 2
 
 
 def test_console_script_smoke(tmp_path):

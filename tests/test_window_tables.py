@@ -2,9 +2,9 @@
 never its output: every basis (at every cap) and every completion equals
 the lowest-bit loop's without tables (`helpers.plain_basis`,
 `helpers.plain_completed_rows`, and corner minors), on both sides of the
-window edges (n = W - 1 .. 2W + 1) and of the switch (tables come on only
-in dense reductions of ~50 rows or more), and the caller's pivots are
-only read."""
+window edges (n = W - 1 .. 2W + 1) and of the switch (tables come on
+from 42 pivots, after a reduced row with 16 or more set bits), and the
+caller's pivots are only read."""
 
 import itertools
 import random
@@ -15,7 +15,12 @@ from diagrank import gf2
 from diagrank.generate import gen_random
 from diagrank.gf2 import W, Gf2Matrix, _reduce_rows, basis, completed_rows
 from diagrank.hieroglyph import overlap_matrix
-from diagrank.rankmin import min_rank_approx, min_rank_exact, min_rank_oracle
+from diagrank.rankmin import (
+    min_rank_approx,
+    min_rank_decide,
+    min_rank_exact,
+    min_rank_oracle,
+)
 from helpers import (
     column_pivot_rank,
     corner_minor_completion,
@@ -33,7 +38,7 @@ FAMILIES = ("dense", "planted", "overlap", "hole", "stacked")
 def family_matrix(family: str, n: int) -> Gf2Matrix:
     """One seeded n x n matrix of the family.
 
-    dense: density 0.5, tables on from ~50 rows; planted: U·Vᵀ of rank 3;
+    dense: density 0.5, tables on from 42 rows; planted: U·Vᵀ of rank 3;
     overlap: a random word's interlacement matrix; hole: dense with
     column 0 zero, so key 0 is never a pivot and no window fills; stacked:
     dense rows over rows of rank 3, so tables come on in the dense half
@@ -149,8 +154,10 @@ def test_dense_approximations_switch_tables_on(tables_built):
     for seed in (1, 2, 3):
         min_rank_approx(gen_random(192, 0.5, seed))
         assert tables_built
+        assert all(size >= gf2._SWITCH for _, size in tables_built)
         tables_built.clear()
-    # at n = 64 too few rows are left past the switch to pay a table back
+    # at n = 64 no row checked once there are 42 pivots keeps 16 set bits at
+    # this seed: a completion row reduced by 41 pivots has 23 columns left
     min_rank_approx(gen_random(64, 0.5, 1))
     assert tables_built == []
 
@@ -160,6 +167,12 @@ def test_sparse_reductions_build_no_table(tables_built):
     for _ in range(3):
         min_rank_exact(planted_matrix(rng, 128, 2), 2)
     min_rank_oracle(gen_random(12, 0.5, 1))
+    # dense rows, but a decide at k = 2 reads too few rows to reach 42 pivots
+    for n in (96, 128):
+        min_rank_decide(gen_random(n, 0.5, 1), 2)
+    # a permutation keeps every pivot, each a single bit
+    perm = random.Random(256).sample(range(256), 256)
+    min_rank_approx(Gf2Matrix(256, tuple(1 << j for j in perm)))
     # rows e_i + e_256 keep every pivot and reach far past them, but stay sparse
     gf2.rank(Gf2Matrix(257, tuple(1 << i | 1 << 256 for i in range(257))))
     assert tables_built == []
