@@ -28,7 +28,7 @@ from typing import Any
 
 from . import generate, gf2, hieroglyph, rankmin
 
-# Largest dimension `gen` and `bench` accept: both cost n^2 or more.
+# Largest n for `gen`, `bench` and words made into overlap matrices: each costs n^2.
 MAX_DIM = 2048
 
 # Word subcommands that search for a diagonal also report it as the
@@ -78,15 +78,16 @@ def _payload(command: str, n: int, **fields: Any) -> dict[str, Any]:
 def _on_matrix(args) -> tuple[dict, str, int]:
     """Run the subcommand's matrix handler on its input.
 
-    A word input is replaced by its overlap matrix; the payload then adds
-    the word's alphabet and, for the diagonal searches, the witness again
-    as ``twist_witness``.
+    A word input (at most MAX_DIM letters) is replaced by its overlap
+    matrix; the payload then adds the word's alphabet and, for the
+    diagonal searches, the witness again as ``twist_witness``.
     """
     if "word" not in args:
         m = gf2.parse_matrix(_read_text(args.file))
         fields, text, code = args.handler(args, m)
         return _payload(args.command, m.n, **fields), text, code
     h = _read_hieroglyph(args.word)
+    _check_dim(h.n)
     fields, text, code = args.handler(args, hieroglyph.overlap_matrix(h))
     command = args.hiero_command
     payload = _payload(f"hiero-{command}", h.n, alphabet=list(h.alphabet), **fields)

@@ -13,7 +13,8 @@ each ribbon may be twisted freely, which is what `genus_decide` and
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .gf2 import Gf2Matrix
 from .rankmin import DecisionOutcome, RankBounds, min_rank_approx, min_rank_decide
@@ -25,23 +26,32 @@ class HieroglyphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Hieroglyph:
-    """Validated double-occurrence word; ``letters`` is the cyclic sequence."""
+    """Validated double-occurrence word; ``letters`` is the cyclic sequence.
+
+    ``mates[p]``, the position of the other occurrence of the letter at p,
+    is recorded by validation and left out of ``repr``, ``==`` and ``hash``.
+    """
 
     letters: tuple[str, ...]
+    mates: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        counts: dict[str, int] = {}
-        for tok in self.letters:
+        mates = [-1] * len(self.letters)  # -1: unpaired, its letter does not occur twice
+        first: dict[str, int] = {}
+        for p, tok in enumerate(self.letters):
             if not isinstance(tok, str) or not tok:
                 raise HieroglyphFormatError("empty token")
-            counts[tok] = counts.get(tok, 0) + 1
+            q = first.setdefault(tok, p)
+            if q < p and mates[q] < 0:
+                mates[q], mates[p] = p, q
         if len(self.letters) % 2:
             raise HieroglyphFormatError(
                 f"odd length {len(self.letters)}: not a double-occurrence word"
             )
-        for tok, c in counts.items():
-            if c != 2:
-                raise HieroglyphFormatError(f"letter {tok!r} occurs {c} times, expected 2")
+        if -1 in mates:
+            tok, c = next((tok, c) for tok, c in Counter(self.letters).items() if c != 2)
+            raise HieroglyphFormatError(f"letter {tok!r} occurs {c} times, expected 2")
+        object.__setattr__(self, "mates", tuple(mates))
 
     @property
     def n(self) -> int:
@@ -51,14 +61,15 @@ class Hieroglyph:
     @property
     def alphabet(self) -> tuple[str, ...]:
         """Distinct letters in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for tok in self.letters:
-            seen.setdefault(tok)
-        return tuple(seen)
+        return tuple(self.letters[p] for p, q in enumerate(self.mates) if q > p)
 
     def to_text(self) -> str:
+        """The word as `parse_hieroglyph` reads it back."""
+        joined = "".join(self.letters)
+        if joined.split() != [joined]:  # a letter holds whitespace: commas keep it whole
+            return ",".join(self.letters)
         if all(len(tok) == 1 for tok in self.letters):
-            return "".join(self.letters)
+            return joined
         return " ".join(self.letters)
 
 
@@ -86,15 +97,16 @@ def overlap_matrix(h: Hieroglyph) -> Gf2Matrix:
     its occurrences, i.e. those it alternates with.  One pass, O(n)
     big-int operations.
     """
-    index: dict[str, int] = {}
+    row_at = [0] * len(h.letters)  # row of the letter whose second occurrence is at p
     rows: list[int] = []
     prefix = 0  # P[pos]
-    for tok in h.letters:
-        i = index.setdefault(tok, len(index))
-        if i == len(rows):
+    for p, q in enumerate(h.mates):
+        if q > p:
+            i = row_at[q] = len(rows)
             prefix ^= 1 << i
             rows.append(prefix)  # P[lo + 1]
         else:
+            i = row_at[p]
             rows[i] ^= prefix  # P[hi]
             prefix ^= 1 << i
     return Gf2Matrix(h.n, tuple(rows))
@@ -113,21 +125,6 @@ def genus_approx(h: Hieroglyph) -> RankBounds:
     """Factor-2 bracket on the least number of Möbius strips."""
     bounds, _ = min_rank_approx(overlap_matrix(h))
     return bounds
-
-
-def _gaps(seq: tuple[str, ...]) -> list[int]:
-    """g[p]: backward cyclic distance from position p to its letter's other occurrence."""
-    length = len(seq)
-    gaps = [0] * length
-    first: dict[str, int] = {}
-    for p, tok in enumerate(seq):
-        q = first.pop(tok, None)
-        if q is None:
-            first[tok] = p
-        else:
-            gaps[p] = p - q
-            gaps[q] = length - (p - q)
-    return gaps
 
 
 def _period(values: list[int]) -> int:
@@ -153,9 +150,10 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
     hieroglyphs describe the same unoriented cyclic structure iff their
     canonical forms are equal.
 
-    The winner is chosen on a relabel-invariant encoding and only it is
-    relabeled.  Let g[p] be the backward cyclic distance from position p
-    to the other occurrence of its letter.  In the rotation starting at
+    The winner is chosen on a relabel-invariant encoding read off the
+    pairing.  Let g[p] = (p - mates[p]) mod L be the backward cyclic
+    distance from position p to the other occurrence of its letter; the
+    reversal's g is L - g, in reverse order.  In the rotation starting at
     r, position t is a first occurrence iff g[r + t] > t.  Of two
     rotations whose images agree before t, a first occurrence at t gets
     a fresh label, larger than every earlier one; a repeat gets the
@@ -167,18 +165,18 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
     keeping those with the greatest v[t], until one is left or t = L;
     positions t < min(g) are skipped, since v is 0 there for all.  If g
     has cyclic period d, starts r and r + d give the same v, so only
-    starts r < d are candidates.  Typical cost is O(n); near-periodic
-    words, whose candidates agree on long prefixes, cost up to O(n^2).
+    starts r < d are candidates.  The winner is labeled from its g alone:
+    a first occurrence takes the next label, a repeat copies the label g
+    places back.  Typical cost is O(n); near-periodic words, whose
+    candidates agree on long prefixes, cost up to O(n^2).
     """
-    word = h.letters
-    length = len(word)
+    length = len(h.letters)
     if length == 0:
         return h
-    orientations = (word, word[::-1])
+    forward = [(p - q) % length for p, q in enumerate(h.mates)]
     gaps: list[int] = []  # each orientation's g, doubled, so start s reads gaps[s + t]
     starts: list[int] = []
-    for seq in orientations:
-        g = _gaps(seq)
+    for g in (forward, [length - x for x in reversed(forward)]):
         starts.extend(range(len(gaps), len(gaps) + _period(g)))
         gaps.extend(g + g)
     t = min(gaps)
@@ -188,10 +186,10 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
         if best:
             starts = [s for s, g in zip(starts, vals) if g == best]
         t += 1
-    orientation, r = divmod(starts[0], 2 * length)
-    seq = orientations[orientation]
-    ids: dict[str, int] = {}
-    image = [ids.setdefault(tok, len(ids)) for tok in seq[r:] + seq[:r]]
+    labels = iter(range(h.n))
+    image: list[int] = []
+    for t, g in enumerate(gaps[starts[0] : starts[0] + length]):
+        image.append(next(labels) if g > t else image[t - g])
     if h.n <= len(string.ascii_lowercase):
         names = string.ascii_lowercase
         return Hieroglyph(tuple(names[i] for i in image))

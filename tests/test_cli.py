@@ -314,6 +314,27 @@ def test_hiero_canon():
     assert payload["alphabet"] == ["a", "b"]
 
 
+def write_word(tmp_path, n: int) -> str:
+    path = tmp_path / f"word{n}.txt"
+    path.write_text(" ".join(f"t{i} t{i}" for i in range(n)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["overlap"], ["decide", "--k", "1"], ["approx"]])
+def test_word_overlap_commands_guard_dimension(tmp_path, command):
+    # the overlap matrix costs n^2, so these follow gen's MAX_DIM rule
+    code, out, err = invoke(["hiero", *command, write_word(tmp_path, 2049)])
+    assert (code, out, err) == (2, "", "error: dimension 2049 outside 0..2048\n")
+
+
+def test_word_dimension_guard_bounds(tmp_path):
+    code, payload = invoke_json(["hiero", "overlap", write_word(tmp_path, 2048)])
+    assert code == 0 and payload["n"] == 2048
+    assert payload["matrix"] == ("0" * 2048 + "\n") * 2048
+    code, payload = invoke_json(["hiero", "canon", write_word(tmp_path, 2049)])
+    assert code == 0 and payload["n"] == 2049  # canon builds no matrix
+
+
 # generation ---------------------------------------------------------------------------
 
 

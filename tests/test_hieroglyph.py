@@ -42,6 +42,9 @@ def test_parse_whitespace_tokens():
 def test_parse_comma_tokens():
     assert parse_hieroglyph("x,y,x,y").letters == ("x", "y", "x", "y")
     assert parse_hieroglyph(" x , y ,x,y ").letters == ("x", "y", "x", "y")
+    h = parse_hieroglyph("a b,c,a b,c")  # a letter with whitespace is written back with commas
+    assert h.letters == ("a b", "c", "a b", "c")
+    assert h.to_text() == "a b,c,a b,c"
 
 
 def test_parse_empty_word():
@@ -67,8 +70,60 @@ def test_construction_rejects_bad_tokens():
         Hieroglyph(("a", "", "a", ""))
 
 
+@pytest.mark.parametrize(
+    "letters, message",
+    [
+        # an empty token wins over the length, the length over the counts
+        (("a", "a", "a", ""), "empty token"),
+        (("a", "a", "a"), "odd length 3: not a double-occurrence word"),
+        # the first bad letter in first-occurrence order is named
+        (("b", "a", "a", "a", "b", "c"), "letter 'a' occurs 3 times, expected 2"),
+        (("a", "b", "b", "b"), "letter 'a' occurs 1 times, expected 2"),
+        (("a", "a", "b", "b", "b", "b"), "letter 'b' occurs 4 times, expected 2"),
+    ],
+)
+def test_format_error_messages_and_order(letters, message):
+    with pytest.raises(HieroglyphFormatError) as exc:
+        Hieroglyph(letters)
+    assert str(exc.value) == message
+
+
 def test_alphabet_order_is_first_occurrence():
     assert parse_hieroglyph("baba").alphabet == ("b", "a")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.randoms(use_true_random=False))
+def test_mates_pair_each_position_with_its_letters_other_occurrence(n, rnd):
+    h = random_hieroglyph(rnd, n)
+    assert len(h.mates) == len(h.letters)
+    for p, q in enumerate(h.mates):
+        assert q != p and h.mates[q] == p
+        assert h.letters[q] == h.letters[p]
+
+
+def test_pairing_is_left_out_of_repr_eq_and_hash():
+    h = parse_hieroglyph("abab")
+    assert h.mates == (2, 3, 0, 1)
+    assert repr(h) == "Hieroglyph(letters=('a', 'b', 'a', 'b'))"
+    other = Hieroglyph(h.letters)
+    object.__setattr__(other, "mates", ())
+    assert other == h and hash(other) == hash(h) and repr(other) == repr(h)
+    with pytest.raises(TypeError):
+        Hieroglyph(h.letters, (2, 3, 0, 1))  # not an init field
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *["", "abab", "αβαβ", "a/a/"],  # contiguous
+        *["t1 t2  t1\tt2", "αβ γ αβ γ"],  # whitespace
+        *["x,y,x,y", "xy,z,xy,z", "a b,c,a b,c", " a\tb , c,a\tb,c"],  # commas
+    ],
+)
+def test_to_text_round_trips(text):
+    h = parse_hieroglyph(text)
+    assert parse_hieroglyph(h.to_text()) == h
 
 
 # overlap matrix -----------------------------------------------------------------
