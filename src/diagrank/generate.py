@@ -38,6 +38,8 @@ def gen_random(n: int, density: float, seed: int) -> Gf2Matrix:
     degenerate to the all-zero and all-one off-diagonal patterns).  The
     seed must lie in 0..2^64 - 1, the state space of the stream.
     """
+    if not isinstance(n, int):
+        raise ValueError(f"dimension {n!r} is not an integer")
     if n < 0:
         raise ValueError("dimension must be non-negative")
     if not 0.0 <= density <= 1.0:

@@ -25,17 +25,20 @@ class MatrixFormatError(ValueError):
 class Gf2Matrix:
     """Square matrix over GF(2) with bit-packed rows.
 
-    ``rows[i]`` packs row i with bit j = entry (i, j).  Bits at or above
-    column n must be zero.  n = 0 is legal and behaves like the empty
-    matrix (rank 0, determinant 1).
+    ``rows[i]`` packs row i with bit j = entry (i, j), and any sequence of
+    rows is stored as a tuple.  Bits at or above column n must be zero.
+    n = 0 is legal and behaves like the empty matrix (rank 0, determinant 1).
     """
 
     n: int
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise ValueError(f"dimension {self.n!r} is not an integer")
         if self.n < 0:
             raise ValueError("dimension must be non-negative")
+        object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows):
@@ -101,6 +104,8 @@ class DiagonalAssignment:
     mask: int
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise ValueError(f"dimension {self.n!r} is not an integer")
         if self.n < 0:
             raise ValueError("dimension must be non-negative")
         if not isinstance(self.mask, int) or self.mask < 0 or self.mask >> self.n:

@@ -28,18 +28,22 @@ class HieroglyphFormatError(ValueError):
 class Hieroglyph:
     """Validated double-occurrence word; ``letters`` is the cyclic sequence.
 
-    ``mates[p]``, the position of the other occurrence of the letter at p,
-    is recorded by validation and left out of ``repr``, ``==`` and ``hash``.
+    Any sequence of letters is stored as a tuple.  ``mates[p]``, the
+    position of the other occurrence of the letter at p, is recorded by
+    validation and left out of ``repr``, ``==`` and ``hash``.
     """
 
     letters: tuple[str, ...]
     mates: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "letters", tuple(self.letters))
         mates = [-1] * len(self.letters)  # -1: unpaired, its letter does not occur twice
         first: dict[str, int] = {}
         for p, tok in enumerate(self.letters):
-            if not isinstance(tok, str) or not tok:
+            if not isinstance(tok, str):
+                raise HieroglyphFormatError(f"token {tok!r} is not a string")
+            if not tok:
                 raise HieroglyphFormatError("empty token")
             q = first.setdefault(tok, p)
             if q < p and mates[q] < 0:
@@ -165,20 +169,20 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
     keeping those with the greatest v[t], until one is left or t = L;
     positions t < min(g) are skipped, since v is 0 there for all.  If g
     has cyclic period d, starts r and r + d give the same v, so only
-    starts r < d are candidates.  The winner is labeled from its g alone:
-    a first occurrence takes the next label, a repeat copies the label g
-    places back.  Typical cost is O(n); near-periodic words, whose
-    candidates agree on long prefixes, cost up to O(n^2).
+    starts r < d are candidates; the reversal's g has the same period.
+    The winner is labeled from its g alone: a first occurrence takes the
+    next label, a repeat copies the label g places back.  Typical cost is
+    O(n); near-periodic words, whose candidates agree on long prefixes,
+    cost up to O(n^2).
     """
     length = len(h.letters)
     if length == 0:
         return h
     forward = [(p - q) % length for p, q in enumerate(h.mates)]
-    gaps: list[int] = []  # each orientation's g, doubled, so start s reads gaps[s + t]
-    starts: list[int] = []
-    for g in (forward, [length - x for x in reversed(forward)]):
-        starts.extend(range(len(gaps), len(gaps) + _period(g)))
-        gaps.extend(g + g)
+    # each orientation's g, doubled, so start s reads gaps[s + t]
+    gaps = 2 * forward + 2 * [length - x for x in reversed(forward)]
+    period = _period(forward)  # reversal and x -> L - x keep the cyclic period
+    starts = [*range(period), *range(2 * length, 2 * length + period)]
     t = min(gaps)
     while len(starts) > 1 and t < length:
         vals = [gaps[s + t] for s in starts]

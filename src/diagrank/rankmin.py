@@ -107,7 +107,8 @@ def _cheap_subsets(costs: list[int], size: int, budget: int) -> Iterator[tuple[i
 
     A subset costs the sum of ``costs`` (each 0, 1 or 2) over its
     positions.  A prefix is extended only while the cheapest completion
-    from the positions after it still fits the budget.
+    from the positions after it still fits the budget; once no completion
+    can exceed it, they are yielded as whole combination runs.
     """
     n = len(costs)
     zeros = [0] * (n + 1)  # zeros[i], ones[i]: positions >= i of cost 0, 1
@@ -124,8 +125,9 @@ def _cheap_subsets(costs: list[int], size: int, budget: int) -> Iterator[tuple[i
         return t if t <= ones[i] else 2 * t - ones[i]
 
     def walk(start: int, t: int, left: int, prefix: tuple[int, ...]):
-        if t == 0:
-            yield prefix
+        if 2 * t <= left or zeros[start] == n - start:  # every completion fits
+            for rest in itertools.combinations(range(start, n), t):
+                yield prefix + rest
             return
         for i in range(start, n - t + 1):
             if least(i, t) > left:  # least only grows with i
@@ -168,10 +170,11 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
     generate the row code.  No basis row has a set bit below its key, so
     the basis restricted to the key columns is unitriangular; A0's
     columns at the keys are then u independent vectors of colspace(A0)
-    and generate the column code.  The 2^u codewords are listed, once per
-    sweep, only at sizes with 2^u <= C(n, s), so listing them never takes
-    more steps than walking the flip sets of that size; at other sizes
-    every flip set is a candidate.
+    and generate the column code.  The 2^u codewords are listed once per
+    sweep, at the first walked size with 2^u <= C(n, s), so listing them
+    never takes more steps than walking that size's flip sets; they then
+    price every later size.  Before that every position costs 0, a cover
+    for which the bound says no more than the floor.
     """
     n = m.n
     base, erased, pivots = _erased_completion(m, cap=2 * k)
@@ -182,18 +185,14 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
         floor = max(size, u - size)
         if floor >= best:
             continue
-        if 1 << u <= math.comb(n, size):
-            if covered is None:
-                columns = [sum((row >> j & 1) << i for i, row in enumerate(erased)) for j in pivots]
-                covered = [_low_weight_support(code, n) for code in (columns, [*pivots.values()])]
-            col_cover, row_cover = covered[0][size], covered[1][size]
-            costs = [2 - (col_cover >> i & 1) - (row_cover >> i & 1) for i in range(n)]
-            # fixed per size: an improvement that keeps the walk in this size
-            # lowers the best, and the surplus candidates are merely scored
-            candidates = _cheap_subsets(costs, size, size - (u - best + 1))
-        else:
-            candidates = itertools.combinations(range(n), size)
-        for flips in candidates:
+        if covered is None and 1 << u <= math.comb(n, size):
+            columns = [sum((row >> j & 1) << i for i, row in enumerate(erased)) for j in pivots]
+            covered = [_low_weight_support(code, n) for code in (columns, [*pivots.values()])]
+        col_cover, row_cover = (c[size] for c in covered) if covered else (-1, -1)
+        costs = [2 - (col_cover >> i & 1) - (row_cover >> i & 1) for i in range(n)]
+        # fixed per size: an improvement that keeps the walk in this size
+        # lowers the best, and the surplus candidates are merely scored
+        for flips in _cheap_subsets(costs, size, size - (u - best + 1)):
             rows = erased.copy()
             w = base
             for i in flips:

@@ -60,6 +60,8 @@ def test_gen_random_validation():
         gen_random(4, 1.1, 0)
     with pytest.raises(ValueError):
         gen_random(-1, 0.5, 0)
+    with pytest.raises(ValueError, match=r"^dimension 2\.0 is not an integer$"):
+        gen_random(2.0, 0.5, 1)
     for seed in (-1, 2**64, 2**64 + 1, 1.5, 1.0):
         with pytest.raises(ValueError, match="seed"):
             gen_random(4, 0.5, seed)

@@ -73,6 +73,15 @@ def test_padding_bits_rejected():
         Gf2Matrix(2, (0,))
     with pytest.raises(ValueError):
         Gf2Matrix(-1, ())
+    with pytest.raises(ValueError, match=r"^dimension 1\.0 is not an integer$"):
+        Gf2Matrix(1.0, (1,))
+    assert Gf2Matrix(True, (1,)).n == 1
+
+
+def test_rows_are_stored_as_a_tuple():
+    m = Gf2Matrix(2, [0, 1])
+    assert type(m.rows) is tuple
+    assert m == Gf2Matrix(2, (0, 1)) and hash(m) == hash(Gf2Matrix(2, (0, 1)))
 
 
 def test_diagonal_assignment_validation():
@@ -88,6 +97,9 @@ def test_diagonal_assignment_validation():
         DiagonalAssignment.from_string("012")
     with pytest.raises(ValueError):
         DiagonalAssignment(-1, 0)
+    with pytest.raises(ValueError, match=r"^dimension 1\.5 is not an integer$"):
+        DiagonalAssignment(1.5, 0)
+    assert DiagonalAssignment(True, 1).to_string() == "1"
     for bits in ([2], [1.0]):
         with pytest.raises(ValueError, match="is not a bit"):
             DiagonalAssignment.from_bits(bits)

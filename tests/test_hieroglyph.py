@@ -8,6 +8,7 @@ from diagrank.gf2 import Gf2Matrix, rank, with_diagonal
 from diagrank.hieroglyph import (
     Hieroglyph,
     HieroglyphFormatError,
+    _period,
     canonical_form,
     genus_approx,
     genus_decide,
@@ -80,12 +81,21 @@ def test_construction_rejects_bad_tokens():
         (("b", "a", "a", "a", "b", "c"), "letter 'a' occurs 3 times, expected 2"),
         (("a", "b", "b", "b"), "letter 'a' occurs 1 times, expected 2"),
         (("a", "a", "b", "b", "b", "b"), "letter 'b' occurs 4 times, expected 2"),
+        # a non-string token has its own message and also wins over the length
+        ((1, 1), "token 1 is not a string"),
+        (("a", "a", 1), "token 1 is not a string"),
     ],
 )
 def test_format_error_messages_and_order(letters, message):
     with pytest.raises(HieroglyphFormatError) as exc:
         Hieroglyph(letters)
     assert str(exc.value) == message
+
+
+def test_letters_are_stored_as_a_tuple():
+    h = Hieroglyph(["a", "b", "a", "b"])
+    assert type(h.letters) is tuple
+    assert h == parse_hieroglyph("abab") and hash(h) == hash(parse_hieroglyph("abab"))
 
 
 def test_alphabet_order_is_first_occurrence():
@@ -316,3 +326,22 @@ def test_canonical_matches_rotation_scan_structured(family):
 def test_canonical_invariant_under_random_image(n, rnd):
     h = random_hieroglyph(rnd, n)
     assert canonical_form(random_image(h, rnd)) == canonical_form(h)
+
+
+def test_both_orientations_share_one_period():
+    # canonical_form computes the period of the forward gaps only
+    rng = random.Random(71)
+    words = [random_hieroglyph(rng, rng.randrange(1, 40)) for _ in range(300)]
+    for n in range(1, 13):  # a random block repeated with fresh letters
+        block = random_hieroglyph(rng, n).letters
+        copies = rng.randrange(2, 5)
+        words.append(Hieroglyph(tuple(f"{c}.{x}" for c in range(copies) for x in block)))
+    words += [Hieroglyph(tuple(structured_word("periodic", n, rng))) for n in range(2, 20)]
+    periodic = 0
+    for h in words:
+        length = len(h.letters)
+        forward = [(p - q) % length for p, q in enumerate(h.mates)]
+        period = _period(forward)
+        assert period == _period([length - x for x in reversed(forward)]), h.letters
+        periodic += period < length
+    assert periodic >= 30

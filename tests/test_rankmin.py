@@ -382,6 +382,14 @@ def test_cheap_subsets_are_the_lex_ordered_affordable_ones():
                     if sum(costs[i] for i in s) <= budget
                 ]
                 assert list(rankmin._cheap_subsets(costs, size, budget)) == expected
+    # where no subset can exceed the budget, every one is yielded, in order
+    for n in range(21):
+        costs = [rng.randrange(3) for _ in range(n)]
+        for size in range(n + 1):
+            every = list(itertools.combinations(range(n), size))
+            assert list(rankmin._cheap_subsets([0] * n, size, 0)) == every
+            budget = 2 * size + rng.randrange(2)
+            assert list(rankmin._cheap_subsets(costs, size, budget)) == every
 
 
 def test_support_bound_on_every_small_flip_set():
@@ -415,9 +423,9 @@ def test_support_bound_on_every_small_flip_set():
 
 def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
     # on a "no" the best stays k + 1, so the candidates are known in advance:
-    # every size s from u - k to k, and where 2^u <= C(n, s) only the flip
-    # sets with at least u + s - k positions on codewords of weight <= s,
-    # counted once per code
+    # every size s from u - k to k, and from the first s with 2^u <= C(n, s)
+    # on only the flip sets with at least u + s - k positions on codewords of
+    # weight <= s, counted once per code
     scored = []
     erased = []
 
@@ -440,17 +448,19 @@ def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
                 break
             nos += 1
             expected = []
+            priced = False
             for s in range(max(u - k, 0), k + 1):
                 covered = [0, 0]
                 for c, words in enumerate(codes):
                     for w in words:
                         if w.bit_count() <= s:
                             covered[c] |= w
-                listed += 1 << u <= math.comb(n, s)
+                priced = priced or 1 << u <= math.comb(n, s)
+                listed += priced
                 for flips in itertools.combinations(range(n), s):
                     inside = sum(1 << i for i in flips)
                     on_codewords = sum((inside & cover).bit_count() for cover in covered)
-                    if 1 << u > math.comb(n, s) or on_codewords >= u + s - k:
+                    if not priced or on_codewords >= u + s - k:
                         expected.append(flips)
             assert scored == expected, (m.rows, k)
     assert nos >= 20 and listed >= 20
@@ -480,6 +490,16 @@ def test_planted_noise_exact_scores_few_flip_sets(monkeypatch):
     assert min_rank_approx(m)[0].lower <= value <= 5
 
 
+def random_12_with_u_11():
+    """A random 12 x 12 matrix whose erased completion has rank 11, so 2^u > C(12, s)."""
+    rng = random.Random(56)
+    return next(
+        m
+        for m in (random_matrix(rng, 12) for _ in range(100))
+        if len(rankmin._erased_completion(m)[2]) == 11
+    )
+
+
 def test_no_codewords_listed_when_the_code_outnumbers_the_flip_sets(monkeypatch):
     walks = []
     listing = rankmin._low_weight_support
@@ -489,15 +509,39 @@ def test_no_codewords_listed_when_the_code_outnumbers_the_flip_sets(monkeypatch)
         return listing(gens, n)
 
     monkeypatch.setattr(rankmin, "_low_weight_support", counting)
-    rng = random.Random(56)
-    m = next(
-        m
-        for m in (random_matrix(rng, 12) for _ in range(100))
-        if len(rankmin._erased_completion(m)[2]) == 11
-    )
+    m = random_12_with_u_11()
     for k in range(12):
         list(rankmin._flip_sweep(m, k))
     assert walks == []  # 2^11 > C(12, s) for every s
     planted = planted_noise_matrix(random.Random(55), 64, 3, 2)
     list(rankmin._flip_sweep(planted, 5))
     assert walks == [8, 8]  # both codes, once, for sizes 3 to 5
+
+
+def test_every_walked_size_goes_through_the_priced_walk(monkeypatch):
+    # before the codes are listed every position costs 0, so the one candidate
+    # source walks every flip set of each size the floor leaves
+    calls = []
+    walk = rankmin._cheap_subsets
+
+    def recording(costs, size, budget):
+        calls.append((size, costs))
+        return walk(costs, size, budget)
+
+    monkeypatch.setattr(rankmin, "_cheap_subsets", recording)
+    m = random_12_with_u_11()
+    n, u = 12, 11
+    walked = 0
+    for k in range(n):
+        calls.clear()
+        improved = [(calls[-1][0], value) for value, _ in rankmin._flip_sweep(m, k)]
+        best = k + 1
+        expected = []
+        for s in range(k + 1):
+            if max(s, u - s) < best:
+                expected.append(s)
+                best = min([best] + [value for size, value in improved if size == s])
+        assert [size for size, _ in calls] == expected, k
+        assert all(costs == [0] * n for _, costs in calls)
+        walked += len(expected)
+    assert walked >= 6
