@@ -147,8 +147,8 @@ def _cmd_exact(args, m) -> tuple[dict, str, int]:
     result = rankmin.min_rank_exact(m, args.k_max)
     if result is None:
         return {"k": args.k_max, "answer": "exhausted"}, f"exhausted k_max={args.k_max}", 1
-    value, witness = result
-    fields = _witness(m, witness, k=value, answer="yes")
+    value, witness = result  # every flip set S has rank >= |S|, so value is the witness's rank
+    fields = _witness(m, witness, value, k=value, answer="yes")
     return fields, "rank={k} witness={witness_diagonal}".format_map(fields), 0
 
 

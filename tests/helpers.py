@@ -11,6 +11,8 @@ search, on the library's completion and rank: `exact_by_decide` repeats
 the library's decision once per budget, `unpruned_flip_sweep` is the
 flip-set sweep without any pruning, and `size_pruned_flip_sweep` the
 sweep pruned by the size bound alone, with no codeword-support bound.
+The matrix text reference, `line_scan_parse`, checks and converts one
+line at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections.abc import Iterator
 from diagrank.gf2 import (
     DiagonalAssignment,
     Gf2Matrix,
+    MatrixFormatError,
     complete_nondegenerate,
     rank_rows,
     with_diagonal,
@@ -347,4 +350,31 @@ def planted_noise_matrix(rng: random.Random, n: int, r: int, t: int) -> Gf2Matri
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
     for i, j in rng.sample(cells, t):
         rows[i] ^= 1 << j
+    return Gf2Matrix(n, tuple(rows))
+
+
+def line_scan_parse(text: str) -> Gf2Matrix:
+    """`gf2.parse_matrix` checking and converting one line at a time.
+
+    Each line is checked for its length, then counted for 0s and 1s, in
+    order, so the first faulty line names the error, ragged first.
+    """
+    normalized = text.replace("\r\n", "\n")
+    if normalized.endswith("\n"):
+        normalized = normalized[:-1]
+    if not normalized:
+        raise MatrixFormatError("empty input")
+    lines = normalized.split("\n")
+    n = len(lines)
+    rows = []
+    for i, line in enumerate(lines):
+        if len(line) != n:
+            raise MatrixFormatError(
+                f"ragged input: line {i + 1} has {len(line)} characters, expected {n}"
+            )
+        # validated first: int() would also accept "_", whitespace and signs
+        if line.count("0") + line.count("1") != n:
+            c = next(c for c in line if c not in "01")
+            raise MatrixFormatError(f"illegal character {c!r} on line {i + 1}")
+        rows.append(int(line[::-1], 2))
     return Gf2Matrix(n, tuple(rows))

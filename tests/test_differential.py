@@ -119,6 +119,22 @@ def test_sweep_matches_size_pruned_planted_noise(n, r, t):
     assert_sweep_matches_size_pruned(m, r + t + 1)
 
 
+def test_exact_value_is_the_witness_rank_every_cap():
+    # every flip set S has rank(A0 + E_S) >= |S|, so the sweep's value,
+    # max(|S|, rank), is the witness's rank: the CLI reports it unchecked
+    instances = [m for _, m in random_instances(35, 60, 13)]
+    instances += [planted_matrix(random.Random(n * 10 + r), n, r) for n, r in PLANTED]
+    instances += [
+        planted_noise_matrix(random.Random(n * 100 + r * 10 + t), n, r, t) for n, r, t in NOISY
+    ]
+    for m in instances:
+        for k_max in range(m.n + 1):
+            result = min_rank_exact(m, k_max)
+            if result is not None:
+                value, witness = result
+                assert value == rank(with_diagonal(m, witness)), (m.rows, k_max)
+
+
 def planted_sweep_instances():
     """(matrix, k_max): the planted and planted+noise instances above."""
     for n in (16, 32, 64):

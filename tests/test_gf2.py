@@ -22,6 +22,7 @@ from diagrank.gf2 import (
 )
 from helpers import (
     column_pivot_rank,
+    line_scan_parse,
     planted_matrix,
     random_diagonal,
     random_matrix,
@@ -295,12 +296,78 @@ def test_parse_matrix_error_messages(text, message):
     assert str(exc.value) == message
 
 
+# what int(..., 2) would accept or a looser check might: signs, separators,
+# non-ASCII digits (Arabic-Indic, fullwidth), a BOM, a lone CR, a "0b" prefix,
+# and a lone surrogate, which stdin read with surrogateescape can hold and
+# which cannot be encoded
+NOISE = [
+    "_", "+", "-", " ", "\t", "2", "\u00e9", "\u0661", "\uff10",
+    "\ufeff", "\r", "0b", "\udcff",
+]
+
+
+def parse_outcome(parse, text):
+    """The matrix ``parse`` returns, or the message of the MatrixFormatError it raises."""
+    try:
+        return parse(text)
+    except MatrixFormatError as exc:
+        return f"MatrixFormatError: {exc}"
+
+
+def damaged_matrix_text(rng, n):
+    """n random 0/1 lines, possibly damaged, with mixed line ends and trailing blanks."""
+    lines = [format(rng.getrandbits(n), f"0{n}b") for _ in range(n)]
+    damage = rng.randrange(5)
+    for _ in range(rng.randint(1, 3) if damage in (1, 2) else 0):
+        i = rng.randrange(n)
+        j = rng.randrange(len(lines[i]) + 1)
+        # damage 1 inserts a noise string, damage 2 overwrites as many characters
+        noise = rng.choice(NOISE)
+        lines[i] = lines[i][:j] + noise + lines[i][j + (len(noise) if damage == 2 else 0):]
+    if damage == 3 and n > 1:  # one line longer, another shorter, same total length
+        i, j = rng.sample(range(n), 2)
+        lines[i] += lines[j][-1]
+        lines[j] = lines[j][:-1]
+    if damage == 4:  # a 0b prefix in place of the first two digits
+        i = rng.randrange(n)
+        lines[i] = "0b" + lines[i][2:]
+    text = "".join(line + rng.choice(("\n", "\r\n")) for line in lines[:-1]) + lines[-1]
+    if rng.random() < 0.8:
+        text += rng.choice(("", "\n", "\r\n"))
+    else:  # one or two blank lines, or a lone CR
+        text += rng.choice(("\n\n", "\r\n\r\n", "\n\n\n", "\r"))
+    return "\ufeff" + text if rng.random() < 0.1 else text
+
+
+def test_parse_matrix_matches_line_scan():
+    rng = random.Random(300)
+    for n in range(1, 301):
+        for _ in range(3):
+            text = damaged_matrix_text(rng, n)
+            assert parse_outcome(parse_matrix, text) == parse_outcome(line_scan_parse, text), text
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="01\n\r_+- \t\u00e9\u0661\uff102\ufeff\udcffb", max_size=40))
+def test_parse_matrix_matches_line_scan_on_any_text(text):
+    assert parse_outcome(parse_matrix, text) == parse_outcome(line_scan_parse, text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 256])
+def test_diagonal_to_string_matches_per_bit_definition(n):
+    rng = random.Random(n)
+    for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) if n else 0 for _ in range(20)]:
+        d = DiagonalAssignment(n, mask)
+        assert d.to_string() == "".join("1" if mask >> i & 1 else "0" for i in range(n))
+        assert DiagonalAssignment.from_string(d.to_string()) == d
+
+
 def test_render_matrix():
     assert render_matrix(Gf2Matrix.identity(2)) == str(Gf2Matrix.identity(2)) == "10\n01\n"
     assert render_matrix(Gf2Matrix.zero(0)) == ""
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("n", [*range(71), 1000])
 def test_matrix_text_round_trip(n):
     m = random_matrix(random.Random(n), n)
     text = render_matrix(m)
