@@ -42,10 +42,13 @@ def _check_dim(n: int) -> None:
 
 
 def _read_text(path: str) -> str:
+    """A file, or stdin for -, with a lone CR or CRLF read as a line break."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _read_hieroglyph(arg: str) -> hieroglyph.Hieroglyph:

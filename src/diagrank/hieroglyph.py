@@ -68,7 +68,13 @@ class Hieroglyph:
         return tuple(self.letters[p] for p, q in enumerate(self.mates) if q > p)
 
     def to_text(self) -> str:
-        """The word as `parse_hieroglyph` reads it back."""
+        """The word as `parse_hieroglyph` reads it back.
+
+        Every word that `parse_hieroglyph` returns round-trips.  Letters
+        holding a comma, or whitespace at either end, can only be built
+        through the constructor and do not: a comma splits such a letter
+        and the stripping of comma fields trims it.
+        """
         joined = "".join(self.letters)
         if joined.split() != [joined]:  # a letter holds whitespace: commas keep it whole
             return ",".join(self.letters)

@@ -12,7 +12,8 @@ the library's decision once per budget, `unpruned_flip_sweep` is the
 flip-set sweep without any pruning, and `size_pruned_flip_sweep` the
 sweep pruned by the size bound alone, with no codeword-support bound.
 The matrix text reference, `line_scan_parse`, checks and converts one
-line at a time.
+line at a time, and the generator reference, `scalar_gen_random`, makes
+one `SplitMix64.next_u64` draw per cell.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import random
 import string
 from collections.abc import Iterator
 
+from diagrank.generate import SplitMix64
 from diagrank.gf2 import (
     DiagonalAssignment,
     Gf2Matrix,
@@ -377,4 +379,23 @@ def line_scan_parse(text: str) -> Gf2Matrix:
             c = next(c for c in line if c not in "01")
             raise MatrixFormatError(f"illegal character {c!r} on line {i + 1}")
         rows.append(int(line[::-1], 2))
+    return Gf2Matrix(n, tuple(rows))
+
+
+def scalar_gen_random(n: int, density: float, seed: int) -> Gf2Matrix:
+    """`generate.gen_random` one draw at a time, for valid arguments.
+
+    The README procedure as written: cells in row-major order, the
+    diagonal skipped, one `SplitMix64.next_u64` draw per off-diagonal
+    cell, and a 1 where the draw is below floor(density * 2^64).
+    """
+    threshold = int(density * (1 << 64))
+    rng = SplitMix64(seed)
+    rows = []
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            if i != j and rng.next_u64() < threshold:
+                row |= 1 << j
+        rows.append(row)
     return Gf2Matrix(n, tuple(rows))

@@ -66,6 +66,31 @@ def test_rank_reads_stdin():
     assert (code, out) == (0, "2\n")
 
 
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_line_breaks_read_alike_from_file_and_stdin(tmp_path, via, eol):
+    # a lone CR or CRLF is a line break on either input path
+    for argv, text, expected in [
+        (["rank"], f"01{eol}10{eol}", "2\n"),
+        (["hiero", "overlap"], f"a{eol}b{eol}a{eol}b{eol}", "01\n10\n"),
+    ]:
+        if via == "file":
+            path = tmp_path / "input.txt"
+            path.write_bytes(text.encode())
+            result = invoke([*argv, str(path)])
+        else:
+            result = invoke([*argv, "-"], stdin_text=text)
+        assert result == (0, expected, ""), (argv, text)
+
+
+def test_lone_cr_matrix_through_a_real_pipe():
+    # the interpreter's own sys.stdin, which the io.StringIO stand-in above does not configure
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagrank", "rank", "-"], input=b"01\r10\r", capture_output=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"2\n", b"")
+
+
 def test_decide_yes_and_no(anti_file):
     code, out, _ = invoke(["decide", "--k", "1", anti_file])
     assert code == 0

@@ -1,7 +1,12 @@
+import hashlib
+import itertools
+
 import pytest
 
 from diagrank.generate import SplitMix64, gen_random
 from diagrank.gf2 import render_matrix
+
+from helpers import scalar_gen_random
 
 # published reference outputs for the SplitMix64 stream
 SEED0_OUTPUTS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -68,3 +73,42 @@ def test_gen_random_validation():
     assert gen_random(3, 0.5, True) == gen_random(3, 0.5, 1)
     assert gen_random(4, 0.5, 2**64 - 1).n == 4
     assert gen_random(0, 0.5, 0).n == 0
+
+
+# digests of render_matrix(gen_random(n, 0.5, 1)) from the one-draw-per-cell loop
+PINNED_SHA256 = {
+    256: "ffc0b0cf8bba3928311ec943c236250346f87fa31097897f97be2d8803637889",
+    1024: "ab1e3472f677c135a63441237ff303ce0826b47bc9ee7f41ff0abe61b6c094ed",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SHA256))
+def test_gen_random_pinned_digests(n):
+    text = render_matrix(gen_random(n, 0.5, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256[n]
+
+
+@pytest.mark.parametrize("density", [0.0, 1.0, 0.5, 0.3, 2.0**-60, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, True])
+def test_gen_random_matches_scalar_stream(density, seed):
+    for n in [*range(41), 97, 130]:
+        assert gen_random(n, density, seed) == scalar_gen_random(n, density, seed), n
+
+
+def test_gen_random_threshold_is_strict():
+    # a draw d whose low 11 bits are all clear (all set) makes d (d + 1) a
+    # float-exact threshold: the cell is 0 at threshold d and 1 at d + 1
+    n = 130
+    draws = itertools.islice(iter(SplitMix64(0).next_u64, None), n * (n - 1))
+    seen = set()
+    for k, d in enumerate(draws):
+        low = d % 2048
+        if low not in (0, 2047) or low in seen:
+            continue
+        seen.add(low)
+        i, t = divmod(k, n - 1)
+        density = (d + low % 2) / 2**64
+        m = gen_random(n, density, 0)
+        assert m.rows[i] >> (t + (t >= i)) & 1 == low % 2
+        assert m == scalar_gen_random(n, density, 0)
+    assert seen == {0, 2047}

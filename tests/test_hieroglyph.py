@@ -136,6 +136,24 @@ def test_to_text_round_trips(text):
     assert parse_hieroglyph(h.to_text()) == h
 
 
+@pytest.mark.parametrize(
+    "letters, read_back",
+    [
+        (("a,b", "c", "a,b", "c"), "odd length 3"),  # a comma splits the letter
+        ((" a", "c", " a", "c"), ("a", "c", "a", "c")),  # comma fields are stripped
+        (("a ", "c", "a ", "c"), ("a", "c", "a", "c")),
+    ],
+)
+def test_to_text_of_api_only_letters_does_not_round_trip(letters, read_back):
+    # the constructor takes letters that parse_hieroglyph cannot make; documented, not rejected
+    text = Hieroglyph(letters).to_text()
+    if isinstance(read_back, str):
+        with pytest.raises(HieroglyphFormatError, match=read_back):
+            parse_hieroglyph(text)
+    else:
+        assert parse_hieroglyph(text).letters == read_back
+
+
 # overlap matrix -----------------------------------------------------------------
 
 
