@@ -24,7 +24,8 @@ import os
 import statistics
 import sys
 import time
-from typing import Any
+from json.encoder import encode_basestring_ascii as _quote  # the C encoder when built
+from typing import Any, Iterator
 
 from . import generate, gf2, hieroglyph, rankmin
 
@@ -78,6 +79,56 @@ def _payload(command: str, n: int, **fields: Any) -> dict[str, Any]:
     return base
 
 
+class _Escaped:
+    """A string value already escaped for JSON, written between quotes as is.
+
+    It wraps the text: a str subclass would copy it, ~1 ms for the 1 MB
+    matrix of a 1000-letter word.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _json_parts(payload: dict[str, Any]) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2)`` and a newline, field by field.
+
+    Keys, all strings, and string values go through the C string
+    encoder, ints and None are written directly, and an `_Escaped` value
+    is copied between quotes.  Any other value is dumped alone and
+    indented one level further, which is exact because encoded JSON has
+    no raw line break inside a string.
+    """
+    sep = "{\n  "
+    for key, value in payload.items():
+        yield sep
+        yield _quote(key)
+        yield ": "
+        if type(value) is _Escaped:
+            yield from ('"', value.text, '"')
+        elif isinstance(value, str):
+            yield _quote(value)
+        elif type(value) is int:
+            yield str(value)
+        elif value is None:
+            yield "null"
+        elif type(value) is list and value and all(type(v) is str for v in value):
+            yield "[\n    " + ",\n    ".join(map(_quote, value)) + "\n  ]"
+        else:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n}\n" if payload else "{}\n"
+
+
+def _matrix(args, m) -> str | _Escaped:
+    """``m`` rendered for the ``matrix`` field: already escaped under --json."""
+    if args.json:
+        return _Escaped(gf2.render_matrix(m, newline="\\n"))
+    return gf2.render_matrix(m)
+
+
 def _on_matrix(args) -> tuple[dict, str, int]:
     """Run the subcommand's matrix handler on its input.
 
@@ -99,8 +150,8 @@ def _on_matrix(args) -> tuple[dict, str, int]:
     return payload, text, code
 
 
-# Matrix handlers: (args, matrix) -> (payload fields, text, exit code).
-# A handler that reports a diagonal renders its text from the payload fields.
+# Matrix handlers: (args, matrix) -> (payload fields, text, exit code).  The
+# text is a template that `main` fills from the payload, in text mode only.
 
 
 def _witness(m, d, achieved: int | None = None, **fields: Any) -> dict[str, Any]:
@@ -112,20 +163,17 @@ def _witness(m, d, achieved: int | None = None, **fields: Any) -> dict[str, Any]
 
 
 def _cmd_rank(args, m) -> tuple[dict, str, int]:
-    r = gf2.rank(m)
-    return {"achieved_rank": r}, str(r), 0
+    return {"achieved_rank": gf2.rank(m)}, "{achieved_rank}", 0
 
 
 def _cmd_show(args, m) -> tuple[dict, str, int]:
-    matrix = gf2.render_matrix(m)
-    return {"matrix": matrix}, matrix.rstrip("\n"), 0
+    return {"matrix": _matrix(args, m)}, "{matrix}", 0
 
 
 def _cmd_complete(args, m) -> tuple[dict, str, int]:
     completed, d = gf2.complete_nondegenerate(m)
-    fields = _witness(m, d, m.n, answer="yes", matrix=gf2.render_matrix(completed))
-    text = "diagonal: {witness_diagonal}\n{matrix}".format_map(fields)
-    return fields, text.rstrip("\n"), 0
+    fields = _witness(m, d, m.n, answer="yes", matrix=_matrix(args, completed))
+    return fields, "diagonal: {witness_diagonal}\n{matrix}", 0
 
 
 def _cmd_decide(args, m) -> tuple[dict, str, int]:
@@ -133,8 +181,7 @@ def _cmd_decide(args, m) -> tuple[dict, str, int]:
     if witness is None:
         return {"k": args.k, "answer": "no"}, "no", 1
     fields = _witness(m, witness, k=args.k, answer="yes")
-    text = "yes witness={witness_diagonal} achieved_rank={achieved_rank}"
-    return fields, text.format_map(fields), 0
+    return fields, "yes witness={witness_diagonal} achieved_rank={achieved_rank}", 0
 
 
 def _cmd_approx(args, m) -> tuple[dict, str, int]:
@@ -143,37 +190,36 @@ def _cmd_approx(args, m) -> tuple[dict, str, int]:
         m, witness, bounds.upper, rank_bounds={"lower": bounds.lower, "upper": bounds.upper}
     )
     text = "lower={rank_bounds[lower]} upper={achieved_rank} witness={witness_diagonal}"
-    return fields, text.format_map(fields), 0
+    return fields, text, 0
 
 
 def _cmd_exact(args, m) -> tuple[dict, str, int]:
     result = rankmin.min_rank_exact(m, args.k_max)
     if result is None:
-        return {"k": args.k_max, "answer": "exhausted"}, f"exhausted k_max={args.k_max}", 1
+        return {"k": args.k_max, "answer": "exhausted"}, "exhausted k_max={k}", 1
     value, witness = result  # every flip set S has rank >= |S|, so value is the witness's rank
     fields = _witness(m, witness, value, k=value, answer="yes")
-    return fields, "rank={k} witness={witness_diagonal}".format_map(fields), 0
+    return fields, "rank={k} witness={witness_diagonal}", 0
 
 
 def _cmd_oracle(args, m) -> tuple[dict, str, int]:
     value, witness = rankmin.min_rank_oracle(m)
     fields = _witness(m, witness, value, answer="yes", rank_bounds={"lower": value, "upper": value})
-    return fields, "rank={achieved_rank} witness={witness_diagonal}".format_map(fields), 0
+    return fields, "rank={achieved_rank} witness={witness_diagonal}", 0
 
 
 def _cmd_upper_bound(args, m) -> tuple[dict, str, int]:
     d = rankmin.upper_bound_even_rows(m)
     fields = _witness(m, d, rank_bounds={"lower": 0, "upper": m.n - 1})
     text = "witness={witness_diagonal} achieved_rank={achieved_rank} bound={rank_bounds[upper]}"
-    return fields, text.format_map(fields), 0
+    return fields, text, 0
 
 
 def _cmd_hiero_canon(args) -> tuple[dict, str, int]:
     h = _read_hieroglyph(args.word)
     canon = hieroglyph.canonical_form(h)
-    text = canon.to_text()
-    payload = _payload("hiero-canon", h.n, alphabet=list(canon.alphabet), canonical=text)
-    return payload, text, 0
+    payload = _payload("hiero-canon", h.n, alphabet=list(canon.alphabet), canonical=canon.to_text())
+    return payload, "{canonical}", 0
 
 
 def _cmd_gen(args) -> tuple[dict, str, int]:
@@ -223,6 +269,7 @@ def _cmd_bench(args) -> tuple[dict, str, int]:
     rows = run_bench(args.algo, sizes, args.k, args.reps, args.seed)
     lines = ["algo,n,reps,median_seconds"]
     lines += [f"{r['algo']},{r['n']},{r['reps']},{r['median_seconds']:.6f}" for r in rows]
+    # a template like the others: algorithm names and numbers hold no braces
     return {"command": "bench", "rows": rows}, "\n".join(lines), 0
 
 
@@ -306,7 +353,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        print(json.dumps(payload, indent=2) if args.json else text, flush=True)
+        if args.json:
+            sys.stdout.writelines(_json_parts(payload))
+            sys.stdout.flush()
+        else:
+            print(text.format_map(payload).rstrip("\n"), flush=True)
     except BrokenPipeError:  # the reader went away; the exit flush must not raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2

@@ -87,4 +87,4 @@ def gen_random(n: int, density: float, seed: int) -> Gf2Matrix:
         cut = lanes - i
         rows.append(int((carries[:cut] + b"\x01" + carries[cut:]).translate(_CELL), 2))
         state = (state + stride) & low
-    return Gf2Matrix(n, tuple(rows))
+    return Gf2Matrix._trusted(n, tuple(rows))

@@ -55,6 +55,14 @@ class Gf2Matrix:
             raise ValueError(f"row {i} has bits outside columns 0..{self.n - 1}")
 
     @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Gf2Matrix":
+        """A matrix of a row tuple that the package built in range, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def zero(cls, n: int) -> "Gf2Matrix":
         return cls(n, (0,) * n)
 
@@ -293,7 +301,7 @@ def complete_nondegenerate(m: Gf2Matrix) -> tuple[Gf2Matrix, DiagonalAssignment]
     deterministic: the same input always yields the same diagonal, the
     one `completed_rows` produces.
     """
-    completed = Gf2Matrix(m.n, tuple(completed_rows(m)))
+    completed = Gf2Matrix._trusted(m.n, tuple(completed_rows(m)))
     return completed, completed.diagonal()
 
 
@@ -339,7 +347,7 @@ def with_diagonal(m: Gf2Matrix, d: DiagonalAssignment) -> Gf2Matrix:
     rows = tuple(
         (row & ~(1 << i)) | (d.mask & (1 << i)) for i, row in enumerate(m.rows)
     )
-    return Gf2Matrix(m.n, rows)
+    return Gf2Matrix._trusted(m.n, rows)
 
 
 def parse_matrix(text: str) -> Gf2Matrix:
@@ -366,7 +374,7 @@ def parse_matrix(text: str) -> Gf2Matrix:
         and not normalized.encode().translate(None, b"01\n")
         and set(map(len, flipped)) == {n}
     ):
-        return Gf2Matrix(n, [int(line, 2) for line in reversed(flipped)])
+        return Gf2Matrix._trusted(n, tuple([int(line, 2) for line in reversed(flipped)]))
     for i, line in enumerate(normalized.split("\n"), 1):
         if len(line) != n:
             raise MatrixFormatError(
@@ -378,6 +386,12 @@ def parse_matrix(text: str) -> Gf2Matrix:
     raise AssertionError("unreachable: text failing the check has a faulty line")
 
 
-def render_matrix(m: Gf2Matrix) -> str:
-    """Inverse of :func:`parse_matrix`; emits LF line endings."""
-    return "".join(format(row, f"0{m.n}b")[::-1] + "\n" for row in m.rows)
+def render_matrix(m: Gf2Matrix, newline: str = "\n") -> str:
+    """Inverse of :func:`parse_matrix`: each row's n characters, then ``newline``.
+
+    The default LF is the text format.  Rows hold only 0 and 1, so with
+    ``newline="\\n"`` the result is already the escaped body of the JSON
+    string that holds the LF rendering.
+    """
+    top = 1 << m.n  # bin(row | top) is "0b1" and then the row's n bits, column 0 last
+    return newline.join([*(bin(row | top)[:2:-1] for row in m.rows), ""])

@@ -57,6 +57,14 @@ class Hieroglyph:
             raise HieroglyphFormatError(f"letter {tok!r} occurs {c} times, expected 2")
         object.__setattr__(self, "mates", tuple(mates))
 
+    @classmethod
+    def _trusted(cls, letters: tuple[str, ...], mates: tuple[int, ...]) -> "Hieroglyph":
+        """A word whose pairing the package already knows, unchecked."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "letters", letters)
+        object.__setattr__(h, "mates", mates)
+        return h
+
     @property
     def n(self) -> int:
         """Number of distinct letters."""
@@ -119,7 +127,7 @@ def overlap_matrix(h: Hieroglyph) -> Gf2Matrix:
             i = row_at[p]
             rows[i] ^= prefix  # P[hi]
             prefix ^= 1 << i
-    return Gf2Matrix(h.n, tuple(rows))
+    return Gf2Matrix._trusted(h.n, tuple(rows))
 
 
 def genus_decide(h: Hieroglyph, k: int) -> DecisionOutcome:
@@ -177,9 +185,10 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
     has cyclic period d, starts r and r + d give the same v, so only
     starts r < d are candidates; the reversal's g has the same period.
     The winner is labeled from its g alone: a first occurrence takes the
-    next label, a repeat copies the label g places back.  Typical cost is
-    O(n); near-periodic words, whose candidates agree on long prefixes,
-    cost up to O(n^2).
+    next label, a repeat copies the label g places back.  Its g also
+    gives its pairing, the mate of t being (t - g) mod L, so the result
+    is not validated again.  Typical cost is O(n); near-periodic words,
+    whose candidates agree on long prefixes, cost up to O(n^2).
     """
     length = len(h.letters)
     if length == 0:
@@ -196,11 +205,11 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
         if best:
             starts = [s for s, g in zip(starts, vals) if g == best]
         t += 1
-    labels = iter(range(h.n))
-    image: list[int] = []
-    for t, g in enumerate(gaps[starts[0] : starts[0] + length]):
-        image.append(next(labels) if g > t else image[t - g])
-    if h.n <= len(string.ascii_lowercase):
-        names = string.ascii_lowercase
-        return Hieroglyph(tuple(names[i] for i in image))
-    return Hieroglyph(tuple(f"t{i}" for i in image))
+    winner = gaps[starts[0] : starts[0] + length]
+    small = h.n <= len(string.ascii_lowercase)
+    names = iter(string.ascii_lowercase) if small else map("t{}".format, range(h.n))
+    letters: list[str] = []
+    for t, g in enumerate(winner):
+        letters.append(next(names) if g > t else letters[t - g])
+    mates = tuple((t - g) % length for t, g in enumerate(winner))
+    return Hieroglyph._trusted(tuple(letters), mates)

@@ -10,12 +10,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diagrank
-from diagrank.cli import build_parser, main, run_bench
+from diagrank.cli import _json_parts, build_parser, main, run_bench
 from diagrank.generate import gen_random
 from diagrank.gf2 import parse_matrix, rank, render_matrix, with_diagonal
 from diagrank.gf2 import DiagonalAssignment
+from diagrank.hieroglyph import parse_hieroglyph
 from diagrank.rankmin import min_rank_decide, min_rank_exact, min_rank_oracle
 
 ANTI_TEXT = "01\n10\n"
@@ -41,7 +44,9 @@ def invoke(argv, stdin_text=None):
 def invoke_json(argv, stdin_text=None):
     code, out, err = invoke(argv + ["--json"], stdin_text)
     assert err == ""
-    return code, json.loads(out)
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"  # the documented bytes
+    return code, payload
 
 
 @pytest.fixture
@@ -120,6 +125,51 @@ def test_readme_json_payload_example():
     stdin_text, argv, shown = re.search(pattern, section, re.S).groups()
     code, out, err = invoke(shlex.split(argv), stdin_text=stdin_text.replace("\\n", "\n"))
     assert (code, out, err) == (0, shown, "")
+
+
+# characters JSON escapes, non-ASCII ones and lone surrogates, then any character
+json_chars = st.sampled_from('"\\/\n\r\t\x00\x1f\x7fé€😀\ud800\udfff')
+json_text = st.text(json_chars | st.characters(exclude_categories=()), max_size=8)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**80), 10**80), st.floats(), json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(json_text, json_values | st.lists(json_text, max_size=5), max_size=8))
+def test_json_writer_matches_json_dumps(payload):
+    assert "".join(_json_parts(payload)) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "word", ["abab", 'a"b c a"b c', "x\\y z z x\\y", "é ü é ü", "αβαβ", "\x01\x02\x01\x02"]
+)
+def test_every_json_payload_is_json_dumps_indent_2(anti_file, word):
+    # invoke_json checks each stdout against json.dumps(json.loads(out), indent=2)
+    for argv in (
+        ["rank", anti_file],
+        ["complete", anti_file],
+        ["decide", "--k", "1", anti_file],
+        ["approx", anti_file],
+        ["exact", "--k-max", "1", anti_file],
+        ["oracle", anti_file],
+        ["upper-bound", anti_file],
+        ["gen", "--n", "5", "--density", "0.25", "--seed", "3"],
+        ["bench", "--algo", "rank", "--sizes", "2,3", "--reps", "1"],
+        ["hiero", "overlap", word],
+        ["hiero", "decide", "--k", "1", word],
+        ["hiero", "approx", word],
+        ["hiero", "canon", word],
+    ):
+        code, payload = invoke_json(argv)
+        assert code == 0, argv
+        if argv[0] == "hiero" and argv[1] != "canon":
+            assert payload["alphabet"] == list(parse_hieroglyph(word).alphabet), argv
 
 
 def test_readme_library_names_resolve():
@@ -637,12 +687,19 @@ def test_module_entry_point_smoke():
     assert proc.stdout == "2\n"
 
 
-@pytest.mark.parametrize("n, head", [(2000, 10), (3, 0)])
-def test_closed_pipe_exits_2_without_traceback(n, head):
-    # n = 2000 writes ~4 MB, so the print meets the closed pipe; n = 3 fits
-    # in stdout's buffer, which then meets it when flushed
+@pytest.mark.parametrize(
+    "n, head, extra",
+    [
+        pytest.param(2000, 10, [], id="2000-10"),
+        pytest.param(3, 0, [], id="3-0"),
+        pytest.param(2000, 10, ["--json"], id="2000-10-json"),
+    ],
+)
+def test_closed_pipe_exits_2_without_traceback(n, head, extra):
+    # n = 2000 writes ~4 MB, so the print, or the JSON writer, meets the
+    # closed pipe; n = 3 fits in stdout's buffer, which meets it when flushed
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    argv = [sys.executable, "-m", "diagrank", "gen", "--n", str(n), "--seed", "1"]
+    argv = [sys.executable, "-m", "diagrank", "gen", "--n", str(n), "--seed", "1", *extra]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert len(proc.stdout.read(head)) == head
         proc.stdout.close()

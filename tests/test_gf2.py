@@ -1,4 +1,5 @@
 import functools
+import json
 import operator
 import random
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagrank.generate import gen_random
 from diagrank.gf2 import (
     DiagonalAssignment,
     Gf2Matrix,
     MatrixFormatError,
     add,
     basis,
+    complete_nondegenerate,
     corner_minor,
     determinant,
     parse_matrix,
@@ -20,11 +23,13 @@ from diagrank.gf2 import (
     render_matrix,
     with_diagonal,
 )
+from diagrank.hieroglyph import overlap_matrix
 from helpers import (
     column_pivot_rank,
     line_scan_parse,
     planted_matrix,
     random_diagonal,
+    random_hieroglyph,
     random_matrix,
     span_rank,
 )
@@ -367,6 +372,14 @@ def test_render_matrix():
     assert render_matrix(Gf2Matrix.zero(0)) == ""
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 64, 300])
+def test_render_matrix_newline_is_the_json_escape(n):
+    m = random_matrix(random.Random(n), n)
+    escaped = render_matrix(m, newline="\\n")
+    assert escaped == render_matrix(m).replace("\n", "\\n")
+    assert f'"{escaped}"' == json.dumps(render_matrix(m))
+
+
 @pytest.mark.parametrize("n", [*range(71), 1000])
 def test_matrix_text_round_trip(n):
     m = random_matrix(random.Random(n), n)
@@ -376,6 +389,23 @@ def test_matrix_text_round_trip(n):
     )
     if n:
         assert parse_matrix(text) == m
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 64, 130])
+def test_package_built_matrices_equal_checked_construction(n):
+    # producers skip the row checks of the public constructor; the values
+    # they build must still be exactly the ones it would accept
+    rng = random.Random(n)
+    m = random_matrix(rng, n)
+    d = random_diagonal(rng, n)
+    built = [with_diagonal(m, d), complete_nondegenerate(m)[0], gen_random(n, 0.5, n)]
+    built.append(overlap_matrix(random_hieroglyph(rng, n)))
+    if n:
+        built.append(parse_matrix(render_matrix(m)))
+    for value in built:
+        assert type(value.rows) is tuple
+        assert value == Gf2Matrix(value.n, list(value.rows))
+        assert hash(value) == hash(Gf2Matrix(value.n, value.rows))
 
 
 # properties -------------------------------------------------------------------

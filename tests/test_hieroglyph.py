@@ -339,6 +339,24 @@ def test_canonical_matches_rotation_scan_structured(family):
         assert canonical_form(random_image(h, rng)) == c, (family, n)
 
 
+@pytest.mark.parametrize("family", ["random", "periodic", "nested-defect"])
+@pytest.mark.parametrize("n", [0, 1, 2, 13, 26, 27, 60, 500])
+def test_canonical_form_is_a_validated_word(family, n):
+    # the result is built without validation: it must equal the word the
+    # constructor builds from its letters, pairing and alphabet included
+    rng = random.Random(n)
+    if family == "random" or n < 2:
+        h = random_hieroglyph(rng, n)
+    else:
+        h = Hieroglyph(tuple(structured_word(family, n, rng)))
+    c = canonical_form(h)
+    checked = Hieroglyph(c.letters)
+    assert c == checked
+    assert type(c.letters) is tuple
+    assert c.mates == checked.mates
+    assert c.alphabet == checked.alphabet
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 300), st.randoms(use_true_random=False))
 def test_canonical_invariant_under_random_image(n, rnd):
