@@ -10,8 +10,9 @@ the invertible completion (`completed_rows`, `complete_nondegenerate`).
 A dense elimination of n rows costs ~n^3/384 word operations; parsing
 the text format (`parse_matrix`) is O(n^2) character work in a few
 whole-text C passes and one int() per row.  On a 2-vCPU x86 host under
-Python 3.11, parsing a dense matrix takes ~0.4 ms at n = 256 and ~6 ms
-at n = 1000, against ~1.3 ms and ~15 ms for its `rank`.
+Python 3.11.7, parsing a dense matrix takes ~0.24 ms at n = 256 and
+~3.4 ms at n = 1000, against ~1.1 ms and ~14 ms for its `rank` (best
+of 7 in-process repeats).
 
 Matrices are immutable; every operation returns a fresh value.
 """
@@ -19,6 +20,7 @@ Matrices are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Iterator
 
 
@@ -249,17 +251,49 @@ def basis(rows: Iterable[int], cap: int | None = None) -> dict[int, int]:
 
     Rows are inserted one at a time, each reduced by `_reduce_rows` and
     kept under its lowest set bit if nonzero, so no basis row has a set
-    bit below its key; ``rows`` is only read.  The basis rows are those
-    of the plain lowest-bit loop: window tables change the work only.
+    bit below its key; ``rows`` is only read.
+
+    A basis of at most W = 6 rows lists their XOR combinations once the
+    rows collapse onto it, that is once as many rows have reduced to 0
+    as it has rows.  Each later row in that span, which the loop would
+    reduce to 0, is then dropped with one set lookup; each new pivot
+    doubles the set, and a (W+1)-th one empties it.  The set never
+    holds more than 2^W entries, the size of one window table.  Without
+    the wait for zeros, a small dense input, whose rows are nearly all
+    independent, would pay for a listing it never uses.  The basis rows
+    are those of the plain lowest-bit loop: the listing and the window
+    tables change the work only.
+
     With ``cap`` given, insertion stops as soon as the basis grows past
     it, to cap + 1 entries, so the remaining rows are never read.
     """
     pivots: dict[int, int] = {}
+    rows = iter(rows)
+    fallen = 0  # rows reduced to 0
     for row in _reduce_rows(rows, pivots):
         if row:
             pivots[(row & -row).bit_length() - 1] = row
             if cap is not None and len(pivots) > cap:
+                return pivots
+        else:
+            fallen += 1
+            if fallen >= len(pivots) <= W:
                 break
+    else:
+        return pivots
+    # rows collapse onto at most W pivots: list their span, drop later rows in it unreduced
+    span = {0}
+    for pivot in pivots.values():
+        span.update([x ^ pivot for x in span])
+    for row in _reduce_rows(filterfalse(span.__contains__, rows), pivots):
+        if row:
+            pivots[(row & -row).bit_length() - 1] = row
+            if cap is not None and len(pivots) > cap:
+                break
+            if len(pivots) <= W:
+                span.update([x ^ row for x in span])
+            else:
+                span.clear()
     return pivots
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .gf2 import DiagonalAssignment, Gf2Matrix, basis, completed_rows, rank_rows
@@ -86,6 +86,19 @@ def _erased_completion(
 
     pivots = basis(rows(), cap)
     return sum(row & (1 << i) for i, row in enumerate(erased)), erased, pivots
+
+
+def _columns(rows: list[int], keys: Iterable[int], n: int) -> list[int]:
+    """Columns j of the n-bit ``rows``, for j in ``keys``, as packed ints.
+
+    Bit i of column j is bit j of ``rows[i]``.  All of them are read
+    from one string: the rows' n-digit binary spellings, bottom row
+    first, so the digits of column j are every n-th one from n - 1 - j,
+    and the first of them, of the last row, is the most significant.
+    """
+    top = 1 << n  # bin(row | top) is "0b1" and then the row's n bits, column n - 1 first
+    bits = "".join([bin(row | top)[3:] for row in reversed(rows)])
+    return [int(bits[n - 1 - j :: n] or "0", 2) for j in keys]
 
 
 def _low_weight_support(gens: list[int], n: int) -> list[int]:
@@ -170,7 +183,8 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
     generate the row code.  No basis row has a set bit below its key, so
     the basis restricted to the key columns is unitriangular; A0's
     columns at the keys are then u independent vectors of colspace(A0)
-    and generate the column code.  The 2^u codewords are listed once per
+    and generate the column code; `_columns` reads them all from one
+    binary spelling of the rows.  The 2^u codewords are listed once per
     sweep, at the first walked size with 2^u <= C(n, s), so listing them
     never takes more steps than walking that size's flip sets; they then
     price every later size.  Before that every position costs 0, a cover
@@ -186,7 +200,7 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
         if floor >= best:
             continue
         if covered is None and 1 << u <= math.comb(n, size):
-            columns = [sum((row >> j & 1) << i for i, row in enumerate(erased)) for j in pivots]
+            columns = _columns(erased, pivots, n)
             covered = [_low_weight_support(code, n) for code in (columns, [*pivots.values()])]
         col_cover, row_cover = (c[size] for c in covered) if covered else (-1, -1)
         costs = [2 - (col_cover >> i & 1) - (row_cover >> i & 1) for i in range(n)]

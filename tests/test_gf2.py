@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagrank import gf2
 from diagrank.generate import gen_random
 from diagrank.gf2 import (
+    W,
     DiagonalAssignment,
     Gf2Matrix,
     MatrixFormatError,
@@ -27,6 +29,7 @@ from diagrank.hieroglyph import overlap_matrix
 from helpers import (
     column_pivot_rank,
     line_scan_parse,
+    plain_basis,
     planted_matrix,
     random_diagonal,
     random_hieroglyph,
@@ -227,6 +230,138 @@ def test_rank_rows_stops_reading_past_cap():
     rows = iter([0, 5, 5, 6])
     assert basis(rows, cap=3) == {0: 5, 1: 6}
     assert list(rows) == []
+
+
+# the span listing of small bases ------------------------------------------------
+
+
+def independent_rows(rng, n: int, r: int) -> list[int]:
+    """r random n-bit rows of rank r."""
+    while True:
+        gens = [rng.getrandbits(n) for _ in range(r)]
+        if len(plain_basis(gens)) == r:
+            return gens
+
+
+def low_rank_rows(rng, n: int, r: int, length: int) -> list[int]:
+    """The r generators and ``length`` - r random XOR combinations of
+    them, plus 3 zero rows and 5 repeated rows, shuffled: rank r."""
+    gens = independent_rows(rng, n, r)
+    rows = gens + [
+        functools.reduce(operator.xor, (g for g in gens if rng.random() < 0.5), 0)
+        for _ in range(length - r)
+    ]
+    rows += [0] * 3 + rng.choices(rows, k=5)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("n", (8, 64, 130))
+@pytest.mark.parametrize("r", (W - 1, W, W + 1, 2 * W))
+def test_basis_equals_plain_basis_on_low_rank_sets(n, r):
+    # the listing drops only rows the loop would reduce to 0: same rows,
+    # same insertion order, and at every cap the same rows left unread
+    r = min(r, n)
+    rng = random.Random(f"{n}/{r}")
+    for length in (r, 2 * r + 1, 4 * n):
+        rows = low_rank_rows(rng, n, r, length)
+        assert len(plain_basis(rows)) == r
+        for cap in (None, *range(r + 2)):
+            got_rest, expected_rest = iter(rows), iter(rows)
+            got = basis(got_rest, cap)
+            expected = plain_basis(expected_rest, cap)
+            assert list(got.items()) == list(expected.items()), (length, cap)
+            assert list(got_rest) == list(expected_rest), (length, cap)
+            assert rank_rows(rows, cap) == len(expected)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=W + 2),
+            st.lists(st.integers(0, (1 << (W + 2)) - 1), max_size=40),
+        )
+    ),
+    st.one_of(st.none(), st.integers(0, W + 3)),
+)
+def test_basis_equals_plain_basis_on_small_low_rank_sets(case, cap):
+    _, gens, picks = case
+    rows = [
+        functools.reduce(operator.xor, (g for i, g in enumerate(gens) if pick >> i & 1), 0)
+        for pick in picks
+    ]
+    got_rest, expected_rest = iter(rows), iter(rows)
+    assert list(basis(got_rest, cap).items()) == list(plain_basis(expected_rest, cap).items())
+    assert list(got_rest) == list(expected_rest)
+
+
+@pytest.fixture
+def pulled(monkeypatch):
+    """Records every row `gf2._reduce_rows` reads, and what it yields."""
+    seen = {"rows": [], "yielded": []}
+    reduce_rows = gf2._reduce_rows
+
+    def counting(rows, pivots):
+        def read():
+            for row in rows:
+                seen["rows"].append(row)
+                yield row
+
+        for row in reduce_rows(read(), pivots):
+            seen["yielded"].append(row)
+            yield row
+
+    monkeypatch.setattr(gf2, "_reduce_rows", counting)
+    return seen
+
+
+@pytest.mark.parametrize("r", range(1, W + 1))
+def test_rows_in_a_listed_span_are_never_reduced(pulled, r):
+    # once as many rows have fallen to 0 as there are pivots, rows in the
+    # pivots' span are dropped unreduced: of 512 rows of rank r, only the
+    # r independent ones and at most r that fell to 0 are reduced
+    rows = low_rank_rows(random.Random(r), 64, r, 512)
+    assert rank_rows(rows) == r
+    assert len(pulled["rows"]) <= 2 * r
+    assert sum(map(bool, pulled["yielded"])) == r
+
+
+def test_rank_2_set_reduces_its_2_independent_rows_and_the_first_2_zeros(pulled):
+    a, b = independent_rows(random.Random(2), 64, 2)
+    rows = [a, b, a ^ b, a] + [(a, b, a ^ b, 0)[i % 4] for i in range(508)]
+    assert rank_rows(rows) == 2
+    assert pulled["rows"] == [a, b, a ^ b, a]
+    assert pulled["yielded"][2:] == [0, 0]
+
+
+def test_span_listing_holds_at_most_2_to_the_W_rows(monkeypatch):
+    # W pivots and W zero rows start the listing; the (W+1)-th pivot empties it
+    sizes = []
+    filterfalse = gf2.filterfalse
+
+    def spy(predicate, rows):
+        listed = predicate.__self__
+        for row in filterfalse(predicate, rows):
+            sizes.append(len(listed))
+            yield row
+
+    monkeypatch.setattr(gf2, "filterfalse", spy)
+    rng = random.Random(12)
+    gens = independent_rows(rng, 64, 2 * W)
+    low = low_rank_rows(rng, 64, 2, 20)
+    rows = gens[:W] + [0] * W + [x ^ g for g in gens[W:] for x in low]
+    expected = plain_basis(rows)
+    assert list(basis(rows).items()) == list(expected.items())
+    assert sizes[0] == 1 << W
+    assert max(sizes) == 1 << W
+    assert sizes[-1] == 0
+    # past W pivots nothing is listed, however many rows fall to 0
+    sizes.clear()
+    rows = gens[: W + 1] + [0] * (W + 1) + low * 3
+    assert list(basis(rows).items()) == list(plain_basis(rows).items())
+    assert sizes == []
 
 
 # add / with_diagonal ----------------------------------------------------------

@@ -354,6 +354,19 @@ def test_key_columns_of_a0_generate_its_column_space():
         assert column_pivot_rank([columns[j] for j in pivots], n) == u
 
 
+@pytest.mark.parametrize("n", (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129))
+def test_columns_match_the_per_bit_definition(n):
+    # one transposition of the rows' binary spellings reads every column
+    rng = random.Random(n)
+    for length in sorted({0, 1, n // 2, n - 1, n}):
+        edges = [(1 << n) - 1, 0, 1 << n - 1][:length]  # full, empty, last column
+        rows = edges + [rng.getrandbits(n) for _ in range(length - len(edges))]
+        expected = [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(n)]
+        assert rankmin._columns(rows, range(n), n) == expected, length
+        keys = rng.sample(range(n), min(n, 5))
+        assert rankmin._columns(rows, keys, n) == [expected[j] for j in keys]
+
+
 def test_low_weight_support_matches_span():
     rng = random.Random(52)
     for _ in range(100):

@@ -150,6 +150,20 @@ def test_tabulated_keys_are_never_looked_up_again(tables_built):
     assert len(tables_built) > 10
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_span_listing_leaves_the_tables_of_a_dense_rank(seed, tables_built):
+    # the insertion loop without the listing, on the same reduction generator
+    rows = gen_random(256, 0.5, seed).rows
+    pivots: dict[int, int] = {}
+    for row in _reduce_rows(rows, pivots):
+        if row:
+            pivots[(row & -row).bit_length() - 1] = row
+    expected, tables_built[:] = tables_built[:], []
+    assert gf2.rank_rows(rows) == len(pivots)
+    assert tables_built == expected
+    assert len(expected) >= 30
+
+
 def test_dense_approximations_switch_tables_on(tables_built):
     for seed in (1, 2, 3):
         min_rank_approx(gen_random(192, 0.5, seed))
