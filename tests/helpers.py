@@ -6,11 +6,12 @@ diagonal against that span rank, interlacement by the pairwise crossing
 condition on occurrence positions, completion by one fresh minor per
 diagonal cell, rank by column-pivot elimination, canonical form by
 relabeling every rotation, XOR basis and completion by the lowest-bit
-loop without window tables.  The exceptions are the slow paths of the
+loop without window tables.  The exceptions are two slow paths of the
 search, on the library's completion and rank: `exact_by_decide` repeats
-the library's decision once per budget, `unpruned_flip_sweep` is the
-flip-set sweep without any pruning, and `size_pruned_flip_sweep` the
-sweep pruned by the size bound alone, with no codeword-support bound.
+the library's decision once per budget, and `unpruned_flip_sweep` is the
+flip-set sweep without any pruning.  `size_pruned_flip_sweep`, the sweep
+pruned by the size bound alone, with no codeword-support bound, runs on
+the lowest-bit completion and basis of this module.
 The matrix text reference, `line_scan_parse`, checks and converts one
 line at a time, and the generator reference, `scalar_gen_random`, makes
 one `SplitMix64.next_u64` draw per cell.
@@ -33,7 +34,7 @@ from diagrank.gf2 import (
     with_diagonal,
 )
 from diagrank.hieroglyph import Hieroglyph
-from diagrank.rankmin import _erased_completion, min_rank_decide
+from diagrank.rankmin import min_rank_decide
 
 
 def span(rows) -> set[int]:
@@ -300,10 +301,12 @@ def size_pruned_flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, Diagonal
     Every flip set of a size s with u - s < best is scored, u being the
     rank of the erased completion; no codeword-support bound is applied.
     Yields the same improvements, in the same order, as the library.
+    A0 comes from `plain_completed_rows` and every rank from `plain_basis`.
     """
     n = m.n
-    base, erased, pivots = _erased_completion(m)
-    u = len(pivots)
+    erased = [row ^ 1 << i for i, row in enumerate(plain_completed_rows(m))]
+    base = sum(row & 1 << i for i, row in enumerate(erased))
+    u = len(plain_basis(erased))
     best = k + 1
     for size in range(min(k, n) + 1):
         if size >= best:
@@ -316,7 +319,7 @@ def size_pruned_flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, Diagonal
             for i in flips:
                 rows[i] ^= 1 << i
                 w ^= 1 << i
-            value = max(size, rank_rows(rows, cap=best - 1))
+            value = max(size, len(plain_basis(rows, cap=best - 1)))
             if value < best:
                 best = value
                 yield value, DiagonalAssignment(n, w)

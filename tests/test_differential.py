@@ -159,7 +159,7 @@ def test_sweep_leaves_a_size_once_an_improvement_reaches_its_floor(monkeypatch):
     monkeypatch.setattr(rankmin, "rank_rows", recording_rank_rows)
     sweeps = exits = 0
     for m, k_max in planted_sweep_instances():
-        _, erased[:], pivots = rankmin._erased_completion(m)
+        erased[:], pivots = rankmin._erased_completion(m)
         u = len(pivots)
         for k in range(k_max + 1):
             scored.clear()

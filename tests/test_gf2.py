@@ -338,14 +338,17 @@ def test_rank_2_set_reduces_its_2_independent_rows_and_the_first_2_zeros(pulled)
 
 def test_span_listing_holds_at_most_2_to_the_W_rows(monkeypatch):
     # W pivots and W zero rows start the listing; the (W+1)-th pivot empties it
-    sizes = []
+    sizes = []  # the listed set's size as each row is read
     filterfalse = gf2.filterfalse
 
     def spy(predicate, rows):
         listed = predicate.__self__
-        for row in filterfalse(predicate, rows):
+
+        def reading(row):
             sizes.append(len(listed))
-            yield row
+            return predicate(row)
+
+        return filterfalse(reading, rows)
 
     monkeypatch.setattr(gf2, "filterfalse", spy)
     rng = random.Random(12)
@@ -354,14 +357,16 @@ def test_span_listing_holds_at_most_2_to_the_W_rows(monkeypatch):
     rows = gens[:W] + [0] * W + [x ^ g for g in gens[W:] for x in low]
     expected = plain_basis(rows)
     assert list(basis(rows).items()) == list(expected.items())
-    assert sizes[0] == 1 << W
+    assert len(sizes) == len(rows)
+    assert sizes[: 2 * W] == [0] * (2 * W)  # nothing is listed before the collapse
+    assert sizes[2 * W] == 1 << W  # the listing starts at 2^W
     assert max(sizes) == 1 << W
-    assert sizes[-1] == 0
+    assert not any(sizes[2 * W + 1 :])  # row 2W, the (W+1)-th pivot, empties it
     # past W pivots nothing is listed, however many rows fall to 0
     sizes.clear()
     rows = gens[: W + 1] + [0] * (W + 1) + low * 3
     assert list(basis(rows).items()) == list(plain_basis(rows).items())
-    assert sizes == []
+    assert sizes == [0] * len(rows)
 
 
 # add / with_diagonal ----------------------------------------------------------
