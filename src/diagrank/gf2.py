@@ -215,6 +215,9 @@ def _reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
     * there are at least 4 * 2^W / W = 42 pivots: the ~k^2/4 XORs that
       k dense rows spend reach there the (k / W) * 2^W that tabulating
       every window k pivots could fill costs;
+    * there are at least start + W pivots: keys 0..start-1 already are
+      pivots, so fewer leave the window's keys short, and this cheap
+      check spares the two below on most rows;
     * the row just reduced has at least 2^(W-2) set bits, so rows are
       not collapsing onto few pivots;
     * the window's W keys are all pivots.
@@ -241,6 +244,7 @@ def _reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
         yield row
         if (
             len(pivots) >= _SWITCH
+            and len(pivots) >= start + W
             and row.bit_count() >= 1 << W - 2
             and all(map(pivots.__contains__, range(start, start + W)))
         ):

@@ -13,6 +13,7 @@ each ribbon may be twisted freely, which is what `genus_decide` and
 from __future__ import annotations
 
 import string
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -28,13 +29,16 @@ class HieroglyphFormatError(ValueError):
 class Hieroglyph:
     """Validated double-occurrence word; ``letters`` is the cyclic sequence.
 
-    Any sequence of letters is stored as a tuple.  ``mates[p]``, the
-    position of the other occurrence of the letter at p, is recorded by
-    validation and left out of ``repr``, ``==`` and ``hash``.
+    Any sequence of letters is stored as a tuple.  Validation pairs the
+    letters in one pass and records two fields, both left out of
+    ``repr``, ``==`` and ``hash``: ``mates[p]``, the position of the other
+    occurrence of the letter at p, and ``alphabet``, the distinct letters
+    in first-occurrence order.
     """
 
     letters: tuple[str, ...]
     mates: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    alphabet: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -56,24 +60,23 @@ class Hieroglyph:
             tok, c = next((tok, c) for tok, c in Counter(self.letters).items() if c != 2)
             raise HieroglyphFormatError(f"letter {tok!r} occurs {c} times, expected 2")
         object.__setattr__(self, "mates", tuple(mates))
+        object.__setattr__(self, "alphabet", tuple(first))  # dicts keep insertion order
 
     @classmethod
-    def _trusted(cls, letters: tuple[str, ...], mates: tuple[int, ...]) -> "Hieroglyph":
-        """A word whose pairing the package already knows, unchecked."""
+    def _trusted(
+        cls, letters: tuple[str, ...], mates: tuple[int, ...], alphabet: tuple[str, ...]
+    ) -> "Hieroglyph":
+        """A word whose pairing and alphabet the package already knows, unchecked."""
         h = object.__new__(cls)
         object.__setattr__(h, "letters", letters)
         object.__setattr__(h, "mates", mates)
+        object.__setattr__(h, "alphabet", alphabet)
         return h
 
     @property
     def n(self) -> int:
         """Number of distinct letters."""
         return len(self.letters) // 2
-
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        """Distinct letters in first-occurrence order."""
-        return tuple(self.letters[p] for p, q in enumerate(self.mates) if q > p)
 
     def to_text(self) -> str:
         """The word as `parse_hieroglyph` reads it back.
@@ -146,17 +149,22 @@ def genus_approx(h: Hieroglyph) -> RankBounds:
 
 
 def _period(values: list[int]) -> int:
-    """Smallest cyclic period of ``values`` (a divisor of its length), by the prefix function."""
-    pi = [0] * len(values)
-    for i in range(1, len(values)):
-        j = pi[i - 1]
-        while j and values[i] != values[j]:
-            j = pi[j - 1]
-        if values[i] == values[j]:
-            j += 1
-        pi[i] = j
-    d = len(values) - pi[-1]
-    return d if len(values) % d == 0 else len(values)
+    """Smallest cyclic period of a non-empty ``values``, a divisor of its length.
+
+    That is the first offset past 0 at which ``values`` occurs in its own
+    doubling (Knuth, Morris and Pratt, 1977), found by one C-level
+    ``bytes.find`` over the narrowest array that holds every value; a
+    match that starts inside an item is skipped.
+    """
+    width = max(values).bit_length()
+    packed = next(array(c, values) for c in "BHIQ" if 8 * array(c).itemsize >= width)
+    size = packed.itemsize
+    pattern = packed.tobytes()
+    doubled = pattern + pattern
+    offset = doubled.find(pattern, size)
+    while offset % size:
+        offset = doubled.find(pattern, offset + 1)
+    return offset // size
 
 
 def canonical_form(h: Hieroglyph) -> Hieroglyph:
@@ -179,16 +187,20 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
     means a smaller label.  The least image is therefore the rotation
     whose sequence v[t] = (g[r + t] if g[r + t] <= t else 0) is
     lexicographically greatest, and equal sequences give equal images.
-    All 2L candidates (L = 2n) are filtered one position at a time,
-    keeping those with the greatest v[t], until one is left or t = L;
-    positions t < min(g) are skipped, since v is 0 there for all.  If g
-    has cyclic period d, starts r and r + d give the same v, so only
-    starts r < d are candidates; the reversal's g has the same period.
+    If g has cyclic period d, its first offset in its own doubling,
+    starts r and r + d give the same v, so only starts r < d of each
+    orientation are candidates; the reversal's g has the same period.
+    Each letter gives gaps e and L - e, so v is 0 before t0 = min(g) in
+    both orientations, and the starts kept at t0 are those with
+    g[r + t0] = t0, found with ``list.index``.  From t0 + 1 on, they are
+    filtered one position at a time, keeping those with the greatest
+    v[t], until one is left or t = L.
     The winner is labeled from its g alone: a first occurrence takes the
     next label, a repeat copies the label g places back.  Its g also
-    gives its pairing, the mate of t being (t - g) mod L, so the result
-    is not validated again.  Typical cost is O(n); near-periodic words,
-    whose candidates agree on long prefixes, cost up to O(n^2).
+    gives its pairing, the mate of t being (t - g) mod L, and the labels
+    in order are its alphabet, so the result is not validated again.
+    Typical cost is O(n); near-periodic words, whose candidates agree on
+    long prefixes, cost up to O(n^2).
     """
     length = len(h.letters)
     if length == 0:
@@ -197,8 +209,17 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
     # each orientation's g, doubled, so start s reads gaps[s + t]
     gaps = 2 * forward + 2 * [length - x for x in reversed(forward)]
     period = _period(forward)  # reversal and x -> L - x keep the cyclic period
-    starts = [*range(period), *range(2 * length, 2 * length + period)]
-    t = min(gaps)
+    t = min(forward)
+    starts: list[int] = []
+    for lo in (t, 2 * length + t):  # each orientation's candidates, read at t
+        try:
+            pos = gaps.index(t, lo, lo + period)
+            while True:
+                starts.append(pos - t)
+                pos = gaps.index(t, pos + 1, lo + period)
+        except ValueError:
+            pass
+    t += 1
     while len(starts) > 1 and t < length:
         vals = [gaps[s + t] for s in starts]
         best = max((g for g in vals if g <= t), default=0)
@@ -207,9 +228,10 @@ def canonical_form(h: Hieroglyph) -> Hieroglyph:
         t += 1
     winner = gaps[starts[0] : starts[0] + length]
     small = h.n <= len(string.ascii_lowercase)
-    names = iter(string.ascii_lowercase) if small else map("t{}".format, range(h.n))
+    alphabet = tuple(string.ascii_lowercase[: h.n] if small else map("t{}".format, range(h.n)))
+    names = iter(alphabet)
     letters: list[str] = []
     for t, g in enumerate(winner):
         letters.append(next(names) if g > t else letters[t - g])
     mates = tuple((t - g) % length for t, g in enumerate(winner))
-    return Hieroglyph._trusted(tuple(letters), mates)
+    return Hieroglyph._trusted(tuple(letters), mates, alphabet)

@@ -5,11 +5,12 @@ and search code: rank by row-span enumeration, min rank by trying every
 diagonal against that span rank, interlacement by the pairwise crossing
 condition on occurrence positions, completion by one fresh minor per
 diagonal cell, rank by column-pivot elimination, canonical form by
-relabeling every rotation, XOR basis and completion by the lowest-bit
-loop without window tables.  The exceptions are two slow paths of the
-search, on the library's completion and rank: `exact_by_decide` repeats
-the library's decision once per budget, and `unpruned_flip_sweep` is the
-flip-set sweep without any pruning.  `size_pruned_flip_sweep`, the sweep
+relabeling every rotation, cyclic period by the prefix function, XOR
+basis and completion by the lowest-bit loop without window tables.  The
+exceptions are two slow paths of the search, on the library's
+completion and rank: `exact_by_decide` repeats the library's decision
+once per budget, and `unpruned_flip_sweep` is the flip-set sweep
+without any pruning.  `size_pruned_flip_sweep`, the sweep
 pruned by the size bound alone, with no codeword-support bound, runs on
 the lowest-bit completion and basis of this module.
 The matrix text reference, `line_scan_parse`, checks and converts one
@@ -159,6 +160,20 @@ def rotation_scan_canonical(h: Hieroglyph) -> Hieroglyph:
         names = string.ascii_lowercase
         return Hieroglyph(tuple(names[i] for i in best))
     return Hieroglyph(tuple(f"t{i}" for i in best))
+
+
+def prefix_period(values: list[int]) -> int:
+    """Smallest cyclic period of ``values`` (a divisor of its length), by the prefix function."""
+    pi = [0] * len(values)
+    for i in range(1, len(values)):
+        j = pi[i - 1]
+        while j and values[i] != values[j]:
+            j = pi[j - 1]
+        if values[i] == values[j]:
+            j += 1
+        pi[i] = j
+    d = len(values) - pi[-1]
+    return d if len(values) % d == 0 else len(values)
 
 
 def _minor(rows: list[int], size: int) -> int:

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from diagrank.hieroglyph import (
 from diagrank.rankmin import min_rank_exact, min_rank_oracle
 from helpers import (
     naive_overlap,
+    prefix_period,
     random_hieroglyph,
     random_image,
     rotation_scan_canonical,
@@ -114,13 +116,16 @@ def test_mates_pair_each_position_with_its_letters_other_occurrence(n, rnd):
 
 def test_pairing_is_left_out_of_repr_eq_and_hash():
     h = parse_hieroglyph("abab")
-    assert h.mates == (2, 3, 0, 1)
+    assert h.mates == (2, 3, 0, 1) and h.alphabet == ("a", "b")
     assert repr(h) == "Hieroglyph(letters=('a', 'b', 'a', 'b'))"
     other = Hieroglyph(h.letters)
     object.__setattr__(other, "mates", ())
+    object.__setattr__(other, "alphabet", ())
     assert other == h and hash(other) == hash(h) and repr(other) == repr(h)
     with pytest.raises(TypeError):
         Hieroglyph(h.letters, (2, 3, 0, 1))  # not an init field
+    with pytest.raises(TypeError):
+        Hieroglyph(h.letters, alphabet=("a", "b"))
 
 
 @pytest.mark.parametrize(
@@ -327,9 +332,21 @@ def structured_word(family: str, n: int, rng: random.Random) -> list[str]:
     raise ValueError(family)
 
 
-@pytest.mark.parametrize(
-    "family", ["periodic", "mirror", "nested", "two-block", "near-periodic", "nested-defect"]
-)
+STRUCTURED_FAMILIES = ("periodic", "mirror", "nested", "two-block", "near-periodic", "nested-defect")
+
+
+@pytest.mark.parametrize("family", ["random", *STRUCTURED_FAMILIES])
+def test_alphabet_is_the_first_occurrences_of_the_pairing(family):
+    rng = random.Random(73)
+    for n in [*range(2, 41), 500, 2048]:
+        if family == "random":
+            h = random_hieroglyph(rng, n)
+        else:
+            h = Hieroglyph(tuple(structured_word(family, n, rng)))
+        assert h.alphabet == tuple(h.letters[p] for p, q in enumerate(h.mates) if q > p)
+
+
+@pytest.mark.parametrize("family", STRUCTURED_FAMILIES)
 def test_canonical_matches_rotation_scan_structured(family):
     rng = random.Random(67)
     for n in range(2, 61):
@@ -339,8 +356,19 @@ def test_canonical_matches_rotation_scan_structured(family):
         assert canonical_form(random_image(h, rng)) == c, (family, n)
 
 
-@pytest.mark.parametrize("family", ["random", "periodic", "nested-defect"])
-@pytest.mark.parametrize("n", [0, 1, 2, 13, 26, 27, 60, 500])
+@pytest.mark.parametrize("family", ["nested", "nested-defect", "periodic"])
+def test_canonical_invariant_with_many_tied_starts(family):
+    # the first step keeps about n starts here, far past the sizes that
+    # the rotation scan can check
+    rng = random.Random(79)
+    h = Hieroglyph(tuple(structured_word(family, 1000, rng)))
+    c = canonical_form(h)
+    for _ in range(2):
+        assert canonical_form(random_image(h, rng)) == c
+
+
+@pytest.mark.parametrize("family", ["random", "periodic", "two-block", "nested-defect"])
+@pytest.mark.parametrize("n", [0, 1, 2, 13, 26, 27, 60, 500, 2048])
 def test_canonical_form_is_a_validated_word(family, n):
     # the result is built without validation: it must equal the word the
     # constructor builds from its letters, pairing and alphabet included
@@ -381,3 +409,40 @@ def test_both_orientations_share_one_period():
         assert period == _period([length - x for x in reversed(forward)]), h.letters
         periodic += period < length
     assert periodic >= 30
+
+
+def _period_cases(rng: random.Random, top: int) -> list[list[int]]:
+    """Random, block-repeated and single-defect lists of values below ``top``."""
+    cases = []
+    for length in (1, 2, 3, 5, 12, 60, 97):
+        cases.append([rng.randrange(1, top) for _ in range(length)])
+    for size, copies in ((1, 7), (2, 5), (3, 4), (12, 6), (25, 3), (7, 9371)):
+        block = [rng.randrange(1, top) for _ in range(size)]
+        cases.append(block * copies)
+        for bit in (0, top.bit_length() - 2):  # a defect in the lowest or the highest byte
+            defect = block * copies
+            defect[rng.randrange(len(defect))] ^= 1 << bit
+            cases.append(defect)
+    return cases
+
+
+@pytest.mark.parametrize("top", [1 << 8, 1 << 16, 1 << 24, 1 << 40])
+def test_period_matches_the_prefix_function(top):
+    rng = random.Random(top.bit_length())
+    cases = _period_cases(rng, top)
+    assert any(len(values) > 1 << 16 for values in cases)
+    assert any(max(values) >= top >> 1 for values in cases)
+    for values in cases:
+        assert _period(values) == prefix_period(values), (top, len(values))
+
+
+@pytest.mark.parametrize("code", ["H", "I", "Q"])
+def test_period_skips_matches_inside_an_item(code):
+    # bytes repeating with an odd period p match the doubling at byte
+    # offset p, inside an item; the values themselves have period p
+    rng = random.Random(83)
+    size = array(code).itemsize
+    for p in (3, 5, 7, 9):
+        block = bytes(rng.randrange(1, 256) for _ in range(p))
+        values = list(array(code, block * (2 * size)))  # every byte nonzero: needs this width
+        assert _period(values) == prefix_period(values) == p, (code, p)
