@@ -15,7 +15,10 @@ pruned by the size bound alone, with no codeword-support bound, runs on
 the lowest-bit completion and basis of this module.
 The matrix text reference, `line_scan_parse`, checks and converts one
 line at a time, and the generator reference, `scalar_gen_random`, makes
-one `SplitMix64.next_u64` draw per cell.
+one `SplitMix64.next_u64` draw per cell.  The oracle reference,
+`product_oracle`, is a third exception: it runs one capped library
+elimination of all n rows for each of the 2^n rewrites, in their
+product order.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from diagrank.gf2 import (
     with_diagonal,
 )
 from diagrank.hieroglyph import Hieroglyph
-from diagrank.rankmin import min_rank_decide
+from diagrank.rankmin import ORACLE_MAX_DIM, OracleSizeError, min_rank_decide
 
 
 def span(rows) -> set[int]:
@@ -278,6 +281,28 @@ def exact_by_decide(m: Gf2Matrix, k_max: int) -> tuple[int, DiagonalAssignment] 
         if witness is not None:
             return k, witness
     return None
+
+
+def product_oracle(m: Gf2Matrix) -> tuple[int, DiagonalAssignment]:
+    """`rankmin.min_rank_oracle` as one capped elimination per rewrite.
+
+    The rewrites are the product of each row's two versions, bit i clear,
+    then set, so they come in lexicographic order; the witness is the
+    diagonal of the first minimizing rows.
+    """
+    n = m.n
+    if n > ORACLE_MAX_DIM:
+        raise OracleSizeError(f"oracle limited to n <= {ORACLE_MAX_DIM}, got {n}")
+    pairs = [(row & ~(1 << i), row | 1 << i) for i, row in enumerate(m.rows)]
+    best_rank = n + 1
+    for rows in itertools.product(*pairs):  # the first always improves on n + 1
+        r = rank_rows(rows, cap=best_rank - 1)
+        if r < best_rank:
+            best_rank = r
+            best = rows
+            if r == 0:
+                break
+    return best_rank, Gf2Matrix._trusted(n, best).diagonal()
 
 
 def unpruned_flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]]:

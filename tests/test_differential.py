@@ -1,7 +1,8 @@
-"""The single-pass completion and the pruned one-sweep search, checked
-against their slow paths (corner minors, one decision per budget, the
-sweep without pruning and the sweep pruned by size alone) beyond the
-sizes the brute-force oracle reaches."""
+"""The single-pass completion, the pruned one-sweep search and the
+oracle's prefix walk, checked against their slow paths (corner minors,
+one decision per budget, the sweep without pruning, the sweep pruned by
+size alone and one elimination per rewrite), and the search checked
+against the oracle past the sizes the span-enumerating references reach."""
 
 import random
 
@@ -18,12 +19,13 @@ from diagrank.gf2 import (
     with_diagonal,
 )
 from diagrank.hieroglyph import Hieroglyph, overlap_matrix
-from diagrank.rankmin import min_rank_approx, min_rank_decide, min_rank_exact
+from diagrank.rankmin import min_rank_approx, min_rank_decide, min_rank_exact, min_rank_oracle
 from helpers import (
     corner_minor_completion,
     exact_by_decide,
     planted_matrix,
     planted_noise_matrix,
+    product_oracle,
     random_diagonal,
     random_hieroglyph,
     random_matrix,
@@ -120,8 +122,8 @@ def test_sweep_matches_size_pruned_planted_noise(n, r, t):
 
 
 def test_exact_value_is_the_witness_rank_every_cap():
-    # every flip set S has rank(A0 + E_S) >= |S|, so the sweep's value,
-    # max(|S|, rank), is the witness's rank: the CLI reports it unchecked
+    # the sweep's value is the rank of the rows that earned the witness:
+    # the CLI reports it unchecked
     instances = [m for _, m in random_instances(35, 60, 13)]
     instances += [planted_matrix(random.Random(n * 10 + r), n, r) for n, r in PLANTED]
     instances += [
@@ -291,3 +293,38 @@ def test_a_no_completes_only_the_rows_it_needs(monkeypatch, family, size, seed, 
     pulled.clear()
     min_rank_approx(m)  # the factor-2 bracket needs all of A0
     assert len(pulled) == m.n
+
+
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.8])
+def test_oracle_walk_matches_product_loop_random(density):
+    rng = random.Random(int(density * 10))
+    for n in range(14):  # n = 0, the empty product, up to 13
+        for _ in range(2):
+            m = random_matrix(rng, n, density)
+            assert min_rank_oracle(m) == product_oracle(m), m.rows
+
+
+def test_oracle_walk_matches_product_loop_words_and_planted():
+    rng = random.Random(39)
+    instances = [overlap_matrix(random_hieroglyph(rng, n)) for n in range(1, 14) for _ in range(2)]
+    instances += [
+        planted_noise_matrix(rng, n, r, t)
+        for n, r, t in ((6, 1, 1), (8, 1, 2), (10, 2, 1), (12, 2, 2), (13, 3, 1), (13, 1, 3))
+    ]
+    for m in instances:
+        assert min_rank_oracle(m) == product_oracle(m), m.rows
+
+
+def exact_check_instances():
+    """Three seeds each of n = 14 dense, density 0.1 and 0.2, and word overlap matrices."""
+    for seed in (1, 2, 3):
+        for density in (0.1, 0.2, 0.5):
+            yield gen_random(14, density, seed)
+        yield overlap_matrix(random_hieroglyph(random.Random(seed), 14))
+
+
+def test_exact_matches_the_oracle_past_n_12():
+    for m in exact_check_instances():
+        value, witness = min_rank_exact(m, m.n)
+        assert value == min_rank_oracle(m)[0], m.rows
+        assert rank(with_diagonal(m, witness)) == value, m.rows

@@ -16,6 +16,7 @@ from diagrank.gf2 import (
     rank_rows,
     with_diagonal,
 )
+from diagrank.hieroglyph import overlap_matrix
 from diagrank.rankmin import (
     ORACLE_MAX_DIM,
     DecisionOutcome,
@@ -33,6 +34,7 @@ from helpers import (
     planted_matrix,
     planted_noise_matrix,
     random_diagonal,
+    random_hieroglyph,
     random_matrix,
     span,
     span_rank,
@@ -432,6 +434,24 @@ def test_support_bound_on_every_small_flip_set():
                 inside = sum(1 << i for i in flips)
                 assert a <= (inside & covered[0]).bit_count()
                 assert b <= (inside & covered[1]).bit_count()
+
+
+def test_flip_set_rank_is_at_least_its_size():
+    # A0 + E_S is the completion with the n - |S| diagonal cells outside S
+    # changed, and each changed cell lowers the full rank n by at most 1
+    rng = random.Random(55)
+    instances = list(small_instances(56, 60))
+    instances += [overlap_matrix(random_hieroglyph(rng, rng.randrange(1, 40))) for _ in range(30)]
+    instances += [planted_noise_matrix(rng, n, 2, 2) for n in (16, 32, 64)]
+    instances += [planted_matrix(rng, n, 3) for n in (16, 32, 64)]
+    for m in instances:
+        erased, _ = rankmin._erased_completion(m)
+        for _ in range(20):
+            flips = rng.sample(range(m.n), rng.randrange(m.n + 1))
+            rows = list(erased)
+            for i in flips:
+                rows[i] ^= 1 << i
+            assert column_pivot_rank(rows, m.n) >= len(flips), (m.rows, flips)
 
 
 def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
