@@ -4,16 +4,19 @@ For a square GF(2) matrix M, the quantity of interest is the smallest
 rank achievable by replacing the main-diagonal entries with arbitrary
 bits.  This module provides:
 
-* an exact fixed-budget decision (`min_rank_decide`), at worst C(n, <= k)
-  eliminations capped at rank k,
+* an exact fixed-budget decision (`min_rank_decide`) and an exact search
+  (`min_rank_exact`), both one sweep over flip sets (`_flip_sweep`),
 * a factor-2 approximation (`min_rank_approx`) in two eliminations,
-* an exact search (`min_rank_exact`) in one sweep of the decision's
-  enumeration,
 * an exhaustive oracle (`min_rank_oracle`) over all 2^n diagonals for
-  n <= 24, a depth-first walk over row prefixes that drops a prefix once
-  its rank reaches the best leaf's,
+  n <= 24,
 * the always-available n-1 upper bound via an even-row-sum diagonal
   (`upper_bound_even_rows`).
+
+The sweep and the oracle are depth-first walks of one design: a node
+carries the XOR basis of the rows fixed before it, each row reduced into
+it once, and is left once that basis has as many rows as the best
+leaf's rank, since adding rows never lowers a rank.  `_with_rows` is
+the step both take to branch on a row.
 
 Decision and search work through the invertible completion M' of M and
 its erasure A0 = M' + I.  A rewrite differing from M' in fewer than n-k
@@ -23,9 +26,9 @@ of at most k diagonal cells of A0, need to be tried.  A0 + E_S is M'
 with the n - |S| diagonal cells outside S changed, so by the same
 argument its rank is at least |S|.  Hence the minimum rank is the least
 rank(A0 + E_S) over all flip sets S, and `_flip_sweep` scores only the
-flip sets that can beat the best so far.
-Every witness is the diagonal of the rows that earned it: A0's for the
-approximation, the scored A0 + E_S's for the decision and the search.
+flip sets that can beat the best so far.  Every witness is the diagonal
+of the rows that earned it: A0's for the approximation, A0's XOR S for
+the decision and the search.
 """
 
 from __future__ import annotations
@@ -118,53 +121,27 @@ def _low_weight_support(gens: list[int], n: int) -> list[int]:
     return list(itertools.accumulate(support, operator.or_))
 
 
-def _cheap_subsets(costs: list[int], size: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Size-``size`` subsets of positions, in lexicographic order, costing <= budget.
-
-    A subset costs the sum of ``costs`` (each 0, 1 or 2) over its
-    positions.  A prefix is extended only while the cheapest completion
-    from the positions after it still fits the budget; once no completion
-    can exceed it, they are yielded as whole combination runs.
-    """
-    n = len(costs)
-    zeros = [0] * (n + 1)  # zeros[i], ones[i]: positions >= i of cost 0, 1
-    ones = [0] * (n + 1)
-    for i in reversed(range(n)):
-        zeros[i] = zeros[i + 1] + (costs[i] == 0)
-        ones[i] = ones[i + 1] + (costs[i] == 1)
-
-    def least(i: int, t: int) -> int:
-        """Least cost of t positions >= i."""
-        t -= zeros[i]
-        if t <= 0:
-            return 0
-        return t if t <= ones[i] else 2 * t - ones[i]
-
-    def walk(start: int, t: int, left: int, prefix: tuple[int, ...]):
-        if 2 * t <= left or zeros[start] == n - start:  # every completion fits
-            for rest in itertools.combinations(range(start, n), t):
-                yield prefix + rest
-            return
-        for i in range(start, n - t + 1):
-            if least(i, t) > left:  # least only grows with i
-                return
-            c = costs[i]
-            if c + least(i + 1, t - 1) <= left:
-                yield from walk(i + 1, t - 1, left - c, prefix + (i,))
-
-    return walk(0, size, budget, ()) if budget >= 0 else iter(())
+def _with_rows(pivots: dict[int, int], rows: Iterable[int]) -> list[dict[int, int]]:
+    """The XOR basis ``pivots`` plus each of ``rows`` alone, copied only for a new pivot."""
+    reduced = _reduce_rows(rows, pivots)
+    return [{**pivots, (r & -r).bit_length() - 1: r} if r else pivots for r in reduced]
 
 
 def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]]:
     """Yield ``(value, witness)`` each time a flip set improves on the best.
 
     Flip sets S are walked by ascending size, then lexicographically; the
-    value of S is rank(A0 + E_S) and the best starts at k + 1.  A value
-    is never below |S|: A0 + E_S is the full-rank completion with
-    n - |S| diagonal cells changed, and each lowers the rank by at most
-    1, so the rank is scored as is.
-    The first yield is the first flip set reaching rank <= k, and the
-    last one is the first reaching the minimum.
+    value of S is rank(A0 + E_S), never below |S|, and the best starts
+    at k + 1.  The first yield is the first flip set reaching rank <= k,
+    and the last one is the first reaching the minimum.
+
+    Each size is one depth-first walk that picks positions in increasing
+    order, position i before skipping it, so flip sets come in order,
+    with one level per pick.  A node carries the XOR basis of A0's rows
+    before its position, picked rows flipped: skipped rows join it through
+    one `_reduce_rows`, and a picked row is reduced once into the child's
+    (`_with_rows`).  A node whose basis reaches the best is left; a leaf is
+    scored by `rank_rows` of its basis and the rows after its last pick.
 
     Only flip sets that can still beat the best are scored.  With
     u = rank(A0), rank(A0 + E_S) >= u - |S|, so every flip set of size s
@@ -183,7 +160,8 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
     the number of positions of S on such codewords of the column (row)
     code.  Giving position i the cost [i on none in the column code] +
     [i on none in the row code], S can beat the best only if its cost is
-    at most s - (u - best + 1).
+    at most s - (u - best + 1); the walk leaves a node once the cheapest
+    picks it still has to make cost more than is left.
 
     Both codes come from the XOR basis of A0's rows.  The basis rows
     generate the row code.  No basis row has a set bit below its key, so
@@ -199,6 +177,7 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
     n = m.n
     erased, pivots = _erased_completion(m, cap=2 * k)
     u = len(pivots)  # capped at 2k + 1: every size is then skipped
+    diagonal = sum(map(operator.and_, erased, map((1).__lshift__, range(n))))
     best = k + 1
     covered = None  # covered[code][s]: positions on a codeword of weight <= s
     for size in range(min(k, n) + 1):
@@ -208,20 +187,42 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
         if covered is None and 1 << u <= math.comb(n, size):
             columns = _columns(erased, pivots, n)
             covered = [_low_weight_support(code, n) for code in (columns, [*pivots.values()])]
-        col_cover, row_cover = (c[size] for c in covered) if covered else (-1, -1)
-        costs = [2 - (col_cover >> i & 1) - (row_cover >> i & 1) for i in range(n)]
+        col_cover, row_cover = (c[size] for c in covered) if covered else ((1 << n) - 1,) * 2
+        free, half = col_cover & row_cover, col_cover ^ row_cover  # positions of cost 0, 1
+
+        def least(i: int, t: int) -> int:
+            """Least cost of t positions >= i."""
+            t -= (free >> i).bit_count()
+            ones = (half >> i).bit_count()
+            return 0 if t <= 0 else t if t <= ones else 2 * t - ones
+
+        def walk(start: int, t: int, left: int, prefix: dict[int, int], flips: int):
+            """Improvements (value, flip mask) among ``flips`` plus t positions >= start."""
+            if not t:
+                value = rank_rows(itertools.chain(prefix.values(), erased[start:]), cap=best - 1)
+                if value < best:
+                    yield value, flips
+                return
+            pivots = dict(prefix)  # the rows skipped here join this copy
+            skipped = _reduce_rows(erased[start:], pivots)
+            for i in range(start, n - t + 1):
+                if len(pivots) >= best or least(i, t) > left:  # least only grows with i
+                    return
+                c = 2 - (col_cover >> i & 1) - (row_cover >> i & 1)
+                if c + least(i + 1, t - 1) <= left:
+                    [picked] = _with_rows(pivots, [erased[i] ^ 1 << i])
+                    yield from walk(i + 1, t - 1, left - c, picked, flips | 1 << i)
+                row = next(skipped)
+                if row:
+                    pivots[(row & -row).bit_length() - 1] = row
+
         # fixed per size: an improvement that keeps the walk in this size
         # lowers the best, and the surplus candidates are merely scored
-        for flips in _cheap_subsets(costs, size, size - (u - best + 1)):
-            rows = erased.copy()
-            for i in flips:
-                rows[i] ^= 1 << i
-            value = rank_rows(rows, cap=best - 1)  # at least size, as it is below best
-            if value < best:
-                best = value
-                yield value, Gf2Matrix._trusted(n, tuple(rows)).diagonal()
-                if floor >= best:
-                    break
+        for value, flips in walk(0, size, size - (u - best + 1), {}, 0):
+            best = value  # at least size, as it is below best
+            yield value, DiagonalAssignment(n, diagonal ^ flips)
+            if floor >= best:
+                break
 
 
 def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
@@ -230,9 +231,8 @@ def min_rank_decide(m: Gf2Matrix, k: int) -> DecisionOutcome:
     Tries flip sets of at most k diagonal positions of the erased
     completion, by ascending size and lexicographically within a size,
     so the returned witness is the first success in that canonical
-    order.  Flip sets that cannot succeed are skipped (`_flip_sweep`);
-    the worst case is C(n, <= k) capped eliminations.  k >= n is
-    trivially yes.
+    order.  Flip sets that cannot succeed are skipped (`_flip_sweep`),
+    but at worst C(n, <= k) are scored.  k >= n is trivially yes.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -263,9 +263,9 @@ def min_rank_exact(
 
     Returns ``(value, witness)`` or None when no rewrite reaches rank
     k_max or less.  One sweep of the decision's flip sets at budget
-    k_max, skipping those that cannot beat the best value so far; at
-    worst it scores C(n, <= k_max) flip sets, so cap with care.  The
-    witness is the one `min_rank_decide` returns for budget value.
+    k_max, scoring only those that can beat the best value so far, at
+    worst C(n, <= k_max), so cap with care.  The witness is the one
+    `min_rank_decide` returns for budget value.
     """
     if k_max < 0:
         raise ValueError("budget cap must be non-negative")
@@ -283,27 +283,25 @@ def min_rank_oracle(m: Gf2Matrix) -> tuple[int, DiagonalAssignment]:
     are the leaves of a depth-first walk over the rows, each row's two
     versions in turn, bit i clear, then set, so leaves come in that
     order.  A node carries the XOR basis of the rows fixed so far, and
-    each version of the next row is reduced once against it by
-    `_reduce_rows`.  Adding rows never lowers a rank, so a prefix whose
-    basis already has as many rows as the best leaf's rank is dropped;
-    the witness is the diagonal of the first least leaf.  On a 2-vCPU
-    x86 host under Python 3.11.7, `gen_random(n, 0.5, 1)` takes ~0.05 s
-    at n = 16, ~0.15 s at 18, ~0.4 s at 20, ~1.4 s at 22 and ~4 s at 24
-    (best of 3 in-process runs).
+    `_with_rows` reduces each version of the next row into it once.
+    Adding rows never lowers a rank, so a prefix whose basis already has
+    as many rows as the best leaf's rank is dropped; the witness is the
+    diagonal of the first least leaf.  On a 2-vCPU x86 host under Python
+    3.11.7, `gen_random(n, 0.5, 1)` takes ~0.05 s at n = 16, ~0.15 s at
+    18, ~0.4 s at 20, ~1.4 s at 22 and ~4 s at 24 (best of 3 in-process
+    runs).
     """
     if m.n > ORACLE_MAX_DIM:
         raise OracleSizeError(f"oracle limited to n <= {ORACLE_MAX_DIM}, got {m.n}")
 
     def walk(i: int, pivots: dict[int, int], mask: int, best: tuple[int, int]) -> tuple[int, int]:
         """The first least (rank, diagonal) of ``best`` and the leaves past this prefix."""
-        if len(pivots) >= best[0]:  # no leaf past this prefix has a lower rank
-            return best
         if i == m.n:
             return len(pivots), mask
         row = m.rows[i] & ~(1 << i)
-        for bit, reduced in zip((0, 1 << i), _reduce_rows((row, row | 1 << i), pivots)):
-            key = (reduced & -reduced).bit_length() - 1
-            best = walk(i + 1, {**pivots, key: reduced} if reduced else pivots, mask | bit, best)
+        for bit, child in zip((0, 1 << i), _with_rows(pivots, (row, row | 1 << i))):
+            if len(child) < best[0]:  # else no leaf past this prefix has a lower rank
+                best = walk(i + 1, child, mask | bit, best)
         return best
 
     value, mask = walk(0, {}, 0, (m.n + 1, 0))

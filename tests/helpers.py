@@ -49,6 +49,20 @@ def span(rows) -> set[int]:
     return words
 
 
+def row_space(rows) -> frozenset[int]:
+    """The reduced echelon basis of the packed rows' span, keyed by leading bits.
+
+    Two row lists give the same set exactly when their spans are equal.
+    """
+    reduced: list[int] = []
+    for row in rows:
+        for r in reduced:
+            row = min(row, row ^ r)  # clears r's leading bit from row
+        if row:
+            reduced = [min(r, r ^ row) for r in reduced] + [row]
+    return frozenset(reduced)
+
+
 def span_rank(m: Gf2Matrix) -> int:
     """Rank as log2 of the number of distinct XOR combinations of rows."""
     return len(span(m.rows)).bit_length() - 1

@@ -150,30 +150,41 @@ def planted_sweep_instances():
 
 def test_sweep_leaves_a_size_once_an_improvement_reaches_its_floor(monkeypatch):
     # every flip set of size s has value >= max(s, u - s), so once a yield
-    # reaches that floor no other flip set of size s is worth scoring
-    scored = []
+    # reaches that floor no other flip set of size s is worth scoring: the
+    # next thing the sweep does is start the walk of a larger size, whose
+    # root reduces all of A0's rows, or end
+    events = []
     erased = []
+    reduce_rows = rankmin._reduce_rows
 
     def recording_rank_rows(rows, cap=None):
-        scored.append(tuple(i for i, (a, b) in enumerate(zip(rows, erased)) if a != b))
+        events.append("leaf")
         return rank_rows(rows, cap)
 
+    def recording_reduce_rows(rows, pivots):
+        if rows == erased:
+            events.append("size")
+        return reduce_rows(rows, pivots)
+
     monkeypatch.setattr(rankmin, "rank_rows", recording_rank_rows)
+    monkeypatch.setattr(rankmin, "_reduce_rows", recording_reduce_rows)
     sweeps = exits = 0
     for m, k_max in planted_sweep_instances():
         erased[:], pivots = rankmin._erased_completion(m)
         u = len(pivots)
+        diagonal = sum(row & 1 << i for i, row in enumerate(erased))
         for k in range(k_max + 1):
-            scored.clear()
-            floors = []  # (flip sets scored so far, size) at each yield on its floor
-            for value, _ in rankmin._flip_sweep(m, k):
-                size = len(scored[-1])
+            events.clear()
+            floors = []  # the number of events at each yield on its floor
+            for value, witness in rankmin._flip_sweep(m, k):
+                size = (witness.mask ^ diagonal).bit_count()
                 if value == max(size, u - size):
-                    floors.append((len(scored), size))
+                    floors.append(len(events))
             sweeps += 1
             exits += bool(floors)
-            for done, size in floors:
-                assert all(len(flips) != size for flips in scored[done:]), (m.rows, k)
+            assert events.count("leaf") >= len(floors)
+            for done in floors:
+                assert events[done : done + 1] in ([], ["size"]), (m.rows, k)
     assert sweeps == 82 and exits >= 30  # 36 sweeps yield on a floor
 
 
@@ -198,6 +209,18 @@ def test_sweep_matches_size_pruned_overlap_matrices():
         sizes = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 6))]
         m = overlap_matrix(block_word(rng, sizes))
         assert_sweep_matches_size_pruned(m, min(m.n, 6))
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_sweep_matches_size_pruned_where_the_prefix_rank_prunes(n):
+    # the reference prunes by the floor alone; on these matrices the walk
+    # scores 2 to 15 times fewer flip sets, by codeword costs and by prefix
+    # ranks that already reach the best
+    for seed in (1, 2, 3):
+        instances = [gen_random(n, density, seed) for density in (0.5, 0.1, 0.2)]
+        instances.append(overlap_matrix(random_hieroglyph(random.Random(seed), n)))
+        for m in instances:
+            assert_sweep_matches_size_pruned(m, n)
 
 
 @pytest.mark.parametrize("n,r", PLANTED)
@@ -316,11 +339,12 @@ def test_oracle_walk_matches_product_loop_words_and_planted():
 
 
 def exact_check_instances():
-    """Three seeds each of n = 14 dense, density 0.1 and 0.2, and word overlap matrices."""
-    for seed in (1, 2, 3):
-        for density in (0.1, 0.2, 0.5):
-            yield gen_random(14, density, seed)
-        yield overlap_matrix(random_hieroglyph(random.Random(seed), 14))
+    """Three seeds each of n = 14 and 16 dense, density 0.1 and 0.2, and word overlap matrices."""
+    for n in (14, 16):
+        for seed in (1, 2, 3):
+            for density in (0.1, 0.2, 0.5):
+                yield gen_random(n, density, seed)
+            yield overlap_matrix(random_hieroglyph(random.Random(seed), n))
 
 
 def test_exact_matches_the_oracle_past_n_12():

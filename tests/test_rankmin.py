@@ -36,6 +36,7 @@ from helpers import (
     random_diagonal,
     random_hieroglyph,
     random_matrix,
+    row_space,
     span,
     span_rank,
 )
@@ -384,27 +385,92 @@ def test_low_weight_support_matches_span():
             assert support[s] == expected
 
 
-def test_cheap_subsets_are_the_lex_ordered_affordable_ones():
+def flipped(rows, flips):
+    """``rows`` with bit i of row i flipped for each i in ``flips``."""
+    rows = list(rows)
+    for i in flips:
+        rows[i] ^= 1 << i
+    return rows
+
+
+def walked_leaves(erased, u, k, covers):
+    """(row spaces of the flip sets a sweep at budget k scores, in order, the
+    number of affordable flip sets it leaves out for their prefix rank).
+
+    Sizes s come in order and flip sets lexicographically.  A size is walked
+    while its floor max(s, u - s) is below the best, starting at k + 1, and
+    left once an improvement reaches the floor.  From the first walked size
+    with 2^u <= C(n, s) on, position i costs 2 - [i in covers[0][s]] -
+    [i in covers[1][s]], before it 0, and a flip set is affordable while its
+    cost is at most s - (u - best + 1), the best as the size started.  An
+    affordable flip set is scored unless its rows before its last pick
+    already have rank >= best: no leaf past them can beat it.
+    """
+    n = len(erased)
+    best, priced, leaves, dropped = k + 1, False, [], 0
+    for s in range(min(k, n) + 1):
+        floor = max(s, u - s)
+        if floor >= best:
+            continue
+        priced = priced or 1 << u <= math.comb(n, s)
+        budget = s - (u - best + 1)
+        for flips in itertools.combinations(range(n), s):
+            if priced and sum(1 - (c[s] >> i & 1) for c in covers for i in flips) > budget:
+                continue
+            rows = flipped(erased, flips)
+            if flips and column_pivot_rank(rows[: flips[-1]], n) >= best:
+                dropped += 1
+                continue
+            leaves.append(row_space(rows))
+            value = column_pivot_rank(rows, n)
+            if value < best:
+                best = value
+                if floor >= best:
+                    break
+    return leaves, dropped
+
+
+def recorded_leaves(monkeypatch):
+    """The row spaces of the rows `rankmin` passes to `rank_rows`, as it scores them."""
+    leaves = []
+
+    def recording_rank_rows(rows, cap=None):
+        rows = list(rows)
+        leaves.append(row_space(rows))
+        return rank_rows(rows, cap)
+
+    monkeypatch.setattr(rankmin, "rank_rows", recording_rank_rows)
+    return leaves
+
+
+def test_the_walk_scores_the_lex_ordered_affordable_flip_sets(monkeypatch):
+    # random covers give every position a random cost of 0, 1 or 2, or all of
+    # them 0, so that every flip set fits the budget; a leaf is known by the
+    # span of the rows it is scored on
     rng = random.Random(53)
-    for _ in range(100):
-        n = rng.randrange(9)
-        costs = [rng.randrange(3) for _ in range(n)]
-        for size in range(n + 1):
-            for budget in range(-1, 2 * size + 1):
-                expected = [
-                    s
-                    for s in itertools.combinations(range(n), size)
-                    if sum(costs[i] for i in s) <= budget
-                ]
-                assert list(rankmin._cheap_subsets(costs, size, budget)) == expected
-    # where no subset can exceed the budget, every one is yielded, in order
-    for n in range(21):
-        costs = [rng.randrange(3) for _ in range(n)]
-        for size in range(n + 1):
-            every = list(itertools.combinations(range(n), size))
-            assert list(rankmin._cheap_subsets([0] * n, size, 0)) == every
-            budget = 2 * size + rng.randrange(2)
-            assert list(rankmin._cheap_subsets(costs, size, budget)) == every
+    covers = []
+
+    def random_covers(gens, n):
+        covers.append([(1 << n) - 1 if all_covered else rng.getrandbits(n) for _ in range(n + 1)])
+        return covers[-1]
+
+    monkeypatch.setattr(rankmin, "_low_weight_support", random_covers)
+    scored = recorded_leaves(monkeypatch)
+    sweeps = priced = 0
+    for _ in range(40):
+        n = rng.randrange(6, 12)
+        m = planted_noise_matrix(rng, n, rng.randrange(1, 4), rng.randrange(3))
+        erased, pivots = rankmin._erased_completion(m)
+        u = len(pivots)
+        for k in range((u + 1) // 2, n):
+            all_covered = rng.randrange(4) == 0
+            covers.clear()
+            scored.clear()
+            list(rankmin._flip_sweep(m, k))
+            assert scored == walked_leaves(erased, u, k, covers)[0], (m.rows, k)
+            sweeps += 1
+            priced += bool(covers)
+    assert sweeps >= 150 and priced >= 100
 
 
 def test_support_bound_on_every_small_flip_set():
@@ -455,48 +521,36 @@ def test_flip_set_rank_is_at_least_its_size():
 
 
 def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
-    # on a "no" the best stays k + 1, so the candidates are known in advance:
+    # on a "no" the best stays k + 1, so the leaves are known in advance:
     # every size s from u - k to k, and from the first s with 2^u <= C(n, s)
     # on only the flip sets with at least u + s - k positions on codewords of
-    # weight <= s, counted once per code
-    scored = []
-    erased = []
-
-    def recording_rank_rows(rows, cap=None):
-        scored.append(tuple(i for i, (a, b) in enumerate(zip(rows, erased)) if a != b))
-        return rank_rows(rows, cap)
-
-    monkeypatch.setattr(rankmin, "rank_rows", recording_rank_rows)
+    # weight <= s, counted once per code; of those, only the ones whose rows
+    # before their last pick have rank <= k (size 0 always counts).  A leaf
+    # is known by the span of the rows it is scored on
+    scored = recorded_leaves(monkeypatch)
     rng = random.Random(57)
-    nos = listed = 0
+    nos = listed = dropped = 0
     for _ in range(60):
         n = rng.randrange(6, 17)
         m = planted_noise_matrix(rng, n, rng.randrange(1, 4), rng.randrange(3))
-        erased[:], pivots = rankmin._erased_completion(m)
+        erased, pivots = rankmin._erased_completion(m)
         u = len(pivots)
         codes = [span(transpose(erased, n)) - {0}, span(erased) - {0}]
+        covers = [[0] * (n + 1) for _ in codes]  # covers[c][s]: on a codeword of weight <= s
+        for cover, words in zip(covers, codes):
+            for w in words:
+                for s in range(w.bit_count(), n + 1):
+                    cover[s] |= w
         for k in range((u + 1) // 2, n):
             scored.clear()
             if min_rank_decide(m, k).is_yes:
                 break
             nos += 1
-            expected = []
-            priced = False
-            for s in range(max(u - k, 0), k + 1):
-                covered = [0, 0]
-                for c, words in enumerate(codes):
-                    for w in words:
-                        if w.bit_count() <= s:
-                            covered[c] |= w
-                priced = priced or 1 << u <= math.comb(n, s)
-                listed += priced
-                for flips in itertools.combinations(range(n), s):
-                    inside = sum(1 << i for i in flips)
-                    on_codewords = sum((inside & cover).bit_count() for cover in covered)
-                    if not priced or on_codewords >= u + s - k:
-                        expected.append(flips)
+            listed += any(1 << u <= math.comb(n, s) for s in range(max(u - k, 0), k + 1))
+            expected, left_out = walked_leaves(erased, u, k, covers)
+            dropped += left_out
             assert scored == expected, (m.rows, k)
-    assert nos >= 20 and listed >= 20
+    assert nos >= 20 and listed >= 20 and dropped >= 100
 
 
 def test_planted_noise_exact_scores_few_flip_sets(monkeypatch):
@@ -552,29 +606,18 @@ def test_no_codewords_listed_when_the_code_outnumbers_the_flip_sets(monkeypatch)
 
 
 def test_every_walked_size_goes_through_the_priced_walk(monkeypatch):
-    # before the codes are listed every position costs 0, so the one candidate
-    # source walks every flip set of each size the floor leaves
-    calls = []
-    walk = rankmin._cheap_subsets
-
-    def recording(costs, size, budget):
-        calls.append((size, costs))
-        return walk(costs, size, budget)
-
-    monkeypatch.setattr(rankmin, "_cheap_subsets", recording)
+    # before the codes are listed every position costs 0, so the one walk
+    # scores every flip set of each size the floor leaves, up to the prefix
+    # rank and the floor exit; the codes are never listed here
+    scored = recorded_leaves(monkeypatch)
     m = random_12_with_u_11()
-    n, u = 12, 11
+    erased, pivots = rankmin._erased_completion(m)
+    n, u = 12, len(pivots)
+    assert u == 11
     walked = 0
     for k in range(n):
-        calls.clear()
-        improved = [(calls[-1][0], value) for value, _ in rankmin._flip_sweep(m, k)]
-        best = k + 1
-        expected = []
-        for s in range(k + 1):
-            if max(s, u - s) < best:
-                expected.append(s)
-                best = min([best] + [value for size, value in improved if size == s])
-        assert [size for size, _ in calls] == expected, k
-        assert all(costs == [0] * n for _, costs in calls)
-        walked += len(expected)
-    assert walked >= 6
+        scored.clear()
+        list(rankmin._flip_sweep(m, k))
+        assert scored == walked_leaves(erased, u, k, None)[0], k
+        walked += len(scored)
+    assert walked >= 1000
