@@ -249,6 +249,8 @@ def run_bench(algo: str, sizes: list[int], k: int, reps: int, seed: int) -> list
     top = max(sizes, default=0)
     if not 0 <= seed <= (1 << 64) - 1 - top:
         raise ValueError(f"seed {seed} outside 0..2^64 - 1 - {top}, where seed + n fits 64 bits")
+    if algo == "oracle" and top > rankmin.ORACLE_MAX_DIM:  # its guard, before any timing
+        raise rankmin.OracleSizeError(f"oracle limited to n <= {rankmin.ORACLE_MAX_DIM}, got {top}")
     op = _BENCH_OPS[algo]
     results = []
     for n in sizes:
@@ -345,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except rankmin.OracleSizeError as exc:
         print(f"guard error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a flip-set walk nests one generator per pick
+        print("guard error: search deeper than the recursion limit", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)

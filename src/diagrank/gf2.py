@@ -7,8 +7,6 @@ diagonal searches built on top of it fast enough in pure Python.  All
 reduction is one private generator, `_reduce_rows`, against pivots
 keyed by lowest bit.  It feeds the XOR basis (`basis`, `rank_rows`) and
 the invertible completion (`completed_rows`, `complete_nondegenerate`).
-One private helper, `_span`, lists the XOR combinations of a few rows by
-doubling, for `basis` to drop rows in their span and for `rankmin`.
 A dense elimination of n rows costs ~n^3/384 word operations; parsing
 the text format (`parse_matrix`) is O(n^2) character work in a few
 whole-text C passes and one int() per row.  On a 2-vCPU x86 host under
@@ -22,7 +20,6 @@ Matrices are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
 from typing import Iterable, Iterator
 
 
@@ -252,14 +249,6 @@ def _reduce_rows(rows: Iterable[int], pivots: dict[int, int]) -> Iterator[int]:
             start += W
 
 
-def _span(rows: Iterable[int]) -> list[int]:
-    """Every XOR combination of ``rows`` by doubling: entry i XORs the rows at i's set bits."""
-    words = [0]
-    for row in rows:
-        words += [x ^ row for x in words]
-    return words
-
-
 def basis(rows: Iterable[int], cap: int | None = None) -> dict[int, int]:
     """XOR basis of packed rows over GF(2), keyed by lowest set bit.
 
@@ -267,34 +256,15 @@ def basis(rows: Iterable[int], cap: int | None = None) -> dict[int, int]:
     kept under its lowest set bit if nonzero, so no basis row has a set
     bit below its key; ``rows`` is only read.
 
-    Each row is first looked up in a set, empty until the rows collapse
-    onto at most W = 6 pivots: until at least half the rows reduced have
-    fallen to 0.  The set then lists the pivots' XOR combinations
-    (`_span`), and each later row in it, which the loop would reduce to
-    0, is dropped unreduced; each new pivot doubles the set, and a
-    (W+1)-th one empties it, so it never holds more than 2^W entries,
-    the size of one window table.  Without the wait for zeros, a small
-    dense input, whose rows are nearly all independent, would pay for a
-    listing it never uses.  The basis rows are those of the plain
-    lowest-bit loop: the listing and the window tables change the work
-    only.
-
     With ``cap`` given, insertion stops as soon as the basis grows past
     it, to cap + 1 entries, so the remaining rows are never read.
     """
     pivots: dict[int, int] = {}
-    span: set[int] = set()  # empty until the rows collapse onto at most W pivots
-    for reduced, row in enumerate(_reduce_rows(filterfalse(span.__contains__, rows), pivots), 1):
+    for row in _reduce_rows(rows, pivots):
         if row:
             pivots[(row & -row).bit_length() - 1] = row
             if cap is not None and len(pivots) > cap:
                 break
-            if len(pivots) <= W:
-                span.update([x ^ row for x in span])
-            else:
-                span.clear()
-        elif reduced >= 2 * len(pivots) <= 2 * W:  # no row falls to 0 once listed
-            span.update(_span(pivots.values()))
     return pivots
 
 

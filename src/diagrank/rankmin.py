@@ -39,8 +39,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .gf2 import DiagonalAssignment, Gf2Matrix, _reduce_rows, _span, basis
-from .gf2 import completed_rows, rank_rows
+from .gf2 import DiagonalAssignment, Gf2Matrix, _reduce_rows, basis, completed_rows, rank_rows
 
 ORACLE_MAX_DIM = 24
 
@@ -102,6 +101,14 @@ def _columns(rows: list[int], keys: Iterable[int], n: int) -> list[int]:
     top = 1 << n  # bin(row | top) is "0b1" and then the row's n bits, column n - 1 first
     bits = "".join([bin(row | top)[3:] for row in reversed(rows)])
     return [int(bits[n - 1 - j :: n] or "0", 2) for j in keys]
+
+
+def _span(rows: Iterable[int]) -> list[int]:
+    """Every XOR combination of ``rows`` by doubling: entry i XORs the rows at i's set bits."""
+    words = [0]
+    for row in rows:
+        words += [x ^ row for x in words]
+    return words
 
 
 def _low_weight_support(gens: list[int], n: int) -> list[int]:

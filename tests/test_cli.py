@@ -526,6 +526,19 @@ def test_run_bench_validates(monkeypatch):
     assert timed == []  # every seed is checked before the first size is timed
 
 
+def test_run_bench_checks_the_oracle_guard_before_timing(monkeypatch):
+    timed = []
+    monkeypatch.setitem(diagrank.cli._BENCH_OPS, "oracle", lambda m, k: timed.append(m.n))
+    with pytest.raises(diagrank.rankmin.OracleSizeError, match="n <= 24, got 25$"):
+        run_bench("oracle", [4, 22, 25], 1, 3, 0)
+    code, out, err = invoke(["bench", "--algo", "oracle", "--sizes", "4,25"])
+    assert (code, out) == (2, "")
+    assert err == "guard error: oracle limited to n <= 24, got 25\n"
+    assert timed == []
+    assert run_bench("oracle", [4, 24], 1, 1, 0)[1]["n"] == 24
+    assert timed == [4, 24]
+
+
 # error reporting ----------------------------------------------------------------------
 
 
@@ -570,6 +583,17 @@ def test_oracle_guard_error(tmp_path):
     path.write_text(render_matrix(gen_random(25, 0.5, 0)))
     code, _, err = invoke(["oracle", str(path)])
     assert code == 2 and err.startswith("guard error:")
+
+
+@pytest.mark.parametrize("flags", ([], ["--json"]))
+def test_too_deep_a_search_is_a_guard_error(monkeypatch, anti_file, flags):
+    def too_deep(m, k):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(diagrank.rankmin, "min_rank_decide", too_deep)
+    code, out, err = invoke(["decide", "--k", "1", anti_file, *flags])
+    assert (code, out) == (2, "")
+    assert err == "guard error: search deeper than the recursion limit\n"  # no traceback
 
 
 def test_value_errors_exit_2(anti_file):

@@ -152,7 +152,7 @@ def test_tabulated_keys_are_never_looked_up_again(tables_built):
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_span_listing_leaves_the_tables_of_a_dense_rank(seed, tables_built):
-    # the insertion loop without the listing, on the same reduction generator
+    # the insertion loop written out here, on the same reduction generator
     rows = gen_random(256, 0.5, seed).rows
     pivots: dict[int, int] = {}
     for row in _reduce_rows(rows, pivots):
