@@ -122,11 +122,11 @@ def _json_parts(payload: dict[str, Any]) -> Iterator[str]:
     yield "\n}\n" if payload else "{}\n"
 
 
-def _matrix(args, m) -> str | _Escaped:
-    """``m`` rendered for the ``matrix`` field: already escaped under --json."""
+def _matrix(args, render, value) -> str | _Escaped:
+    """``render(value)`` for the ``matrix`` field: already escaped under --json."""
     if args.json:
-        return _Escaped(gf2.render_matrix(m, newline="\\n"))
-    return gf2.render_matrix(m)
+        return _Escaped(render(value, newline="\\n"))
+    return render(value)
 
 
 def _on_matrix(args) -> tuple[dict, str, int]:
@@ -167,12 +167,12 @@ def _cmd_rank(args, m) -> tuple[dict, str, int]:
 
 
 def _cmd_show(args, m) -> tuple[dict, str, int]:
-    return {"matrix": _matrix(args, m)}, "{matrix}", 0
+    return {"matrix": _matrix(args, gf2.render_matrix, m)}, "{matrix}", 0
 
 
 def _cmd_complete(args, m) -> tuple[dict, str, int]:
     completed, d = gf2.complete_nondegenerate(m)
-    fields = _witness(m, d, m.n, answer="yes", matrix=_matrix(args, completed))
+    fields = _witness(m, d, m.n, answer="yes", matrix=_matrix(args, gf2.render_matrix, completed))
     return fields, "diagonal: {witness_diagonal}\n{matrix}", 0
 
 
@@ -220,6 +220,14 @@ def _cmd_hiero_canon(args) -> tuple[dict, str, int]:
     canon = hieroglyph.canonical_form(h)
     payload = _payload("hiero-canon", h.n, alphabet=list(canon.alphabet), canonical=canon.to_text())
     return payload, "{canonical}", 0
+
+
+def _cmd_hiero_overlap(args) -> tuple[dict, str, int]:
+    """`_cmd_show` on the word's overlap matrix, written without building it."""
+    h = _read_hieroglyph(args.word)
+    _check_dim(h.n)
+    matrix = _matrix(args, hieroglyph.render_overlap, h)
+    return _payload("hiero-overlap", h.n, alphabet=list(h.alphabet), matrix=matrix), "{matrix}", 0
 
 
 def _cmd_gen(args) -> tuple[dict, str, int]:
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hiero = sub.add_parser("hiero", help="double-occurrence word pipeline")
     hsub = hiero.add_subparsers(dest="hiero_command", required=True)
-    add_word("overlap", "interlacement matrix of the word", handler=_cmd_show)
+    add_word("overlap", "interlacement matrix of the word", func=_cmd_hiero_overlap)
     p = add_word("decide", "realizable with at most k Möbius strips?", handler=_cmd_decide)
     p.add_argument("--k", type=int, required=True, help="strip budget")
     add_word("approx", "factor-2 bracket on the strip count", handler=_cmd_approx)

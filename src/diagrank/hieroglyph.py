@@ -8,6 +8,11 @@ its minimum rank over free diagonal rewrites equals the least number of
 Möbius strips on which the word's ribbon surface can be realized when
 each ribbon may be twisted freely, which is what `genus_decide` and
 `genus_approx` bound.
+
+One loop builds the overlap rows, with each letter's column at a bit
+its caller picks: `overlap_matrix` puts letter j at bit j, as every
+`Gf2Matrix` does, and the text writer `render_overlap` at bit n - 1 - j,
+the order in which ``bin`` prints a row.
 """
 
 from __future__ import annotations
@@ -109,14 +114,13 @@ def parse_hieroglyph(text: str) -> Hieroglyph:
     return Hieroglyph(tuple(tokens))
 
 
-def overlap_matrix(h: Hieroglyph) -> Gf2Matrix:
-    """Interlacement matrix: entry (i, j) is 1 iff letters i and j alternate.
+def _overlap_rows(h: Hieroglyph, bits: list[int]) -> list[int]:
+    """Overlap rows in alphabet order, with letter j's column at ``bits[j]``.
 
-    Indexed by first-occurrence order of the alphabet.  With P[p] the XOR
-    of the letter bits before position p, the row of a letter at
-    positions lo < hi is P[hi] ^ P[lo + 1]: the letters seen once between
-    its occurrences, i.e. those it alternates with.  One pass, O(n)
-    big-int operations.
+    With P[p] the XOR of the bits of the letters before position p, the
+    row of a letter at positions lo < hi is P[hi] ^ P[lo + 1]: the
+    letters seen once between its occurrences, i.e. those it alternates
+    with.  One pass, O(n) big-int operations.
     """
     row_at = [0] * len(h.letters)  # row of the letter whose second occurrence is at p
     rows: list[int] = []
@@ -124,13 +128,34 @@ def overlap_matrix(h: Hieroglyph) -> Gf2Matrix:
     for p, q in enumerate(h.mates):
         if q > p:
             i = row_at[q] = len(rows)
-            prefix ^= 1 << i
+            prefix ^= bits[i]
             rows.append(prefix)  # P[lo + 1]
         else:
             i = row_at[p]
             rows[i] ^= prefix  # P[hi]
-            prefix ^= 1 << i
-    return Gf2Matrix._trusted(h.n, tuple(rows))
+            prefix ^= bits[i]
+    return rows
+
+
+def overlap_matrix(h: Hieroglyph) -> Gf2Matrix:
+    """Interlacement matrix: entry (i, j) is 1 iff letters i and j alternate.
+
+    Indexed by first-occurrence order of the alphabet; column j is bit j.
+    """
+    bits = [1 << j for j in range(h.n)]
+    return Gf2Matrix._trusted(h.n, tuple(_overlap_rows(h, bits)))
+
+
+def render_overlap(h: Hieroglyph, newline: str = "\n") -> str:
+    """``render_matrix(overlap_matrix(h), newline)``, with no row reversed.
+
+    The rows are built mirrored, letter j's column at bit n - 1 - j, so
+    ``bin`` already writes columns 0..n-1 left to right.  As there,
+    ``newline="\\n"`` gives the escaped body of the JSON string.
+    """
+    top = 1 << h.n  # bin(row | top) is "0b1" and then the row's n bits, column 0 first
+    rows = _overlap_rows(h, [top >> j for j in range(1, h.n + 1)])
+    return newline.join([*(bin(row | top)[3:] for row in rows), ""])
 
 
 def genus_decide(h: Hieroglyph, k: int) -> DecisionOutcome:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately independent of the library's elimination
 and search code: rank by row-span enumeration, min rank by trying every
-diagonal against that span rank, interlacement by the pairwise crossing
+diagonal against that span rank or, in `inverse_formula_min_rank`, by
+the nullities of the principal submatrices of I + M'^-1 for one
+Gauss-Jordan inverse, interlacement by the pairwise crossing
 condition on occurrence positions, completion by one fresh minor per
 diagonal cell, rank by column-pivot elimination, canonical form by
 relabeling every rotation, cyclic period by the prefix function, XOR
@@ -78,6 +80,45 @@ def brute_force_min_rank(m: Gf2Matrix) -> int:
         if best == 0:
             break
     return best
+
+
+def gauss_jordan_inverse(m: Gf2Matrix) -> Gf2Matrix | None:
+    """M^-1 by Gauss-Jordan elimination of [M | I], or None if M is singular."""
+    n = m.n
+    aug = [row | 1 << (n + i) for i, row in enumerate(m.rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r] >> col & 1), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r] >> col & 1:
+                aug[r] ^= aug[col]
+    return Gf2Matrix(n, tuple(row >> n for row in aug))
+
+
+def inverse_formula_min_rank(m: Gf2Matrix) -> int:
+    """R(M) = n - max_T nullity(P[T, T]), with P = I + M'^-1 (small n only).
+
+    M' is the first invertible rewrite of M in diagonal-mask order.  Every
+    rewrite is M' + E_T for a set T of diagonal positions, and
+    M' + E_T = M'(I + M'^-1 E_T), whose nullity is that of P[T, T].  The
+    inverse and every rank are this module's own, so the value shares no
+    code with the library's completion, elimination or search.
+    """
+    assert m.n <= 12, "the formula reference tries every T"
+    n = m.n
+    off = [row & ~(1 << i) for i, row in enumerate(m.rows)]
+    for d in range(1 << n):  # some rewrite is invertible, so the loop breaks
+        inverse = gauss_jordan_inverse(Gf2Matrix(n, [r | d & 1 << i for i, r in enumerate(off)]))
+        if inverse is not None:
+            break
+    p = [row ^ 1 << i for i, row in enumerate(inverse.rows)]
+    nullity = 0
+    for t in range(1 << n):
+        members = [i for i in range(n) if t >> i & 1]
+        nullity = max(nullity, len(members) - len(row_space(p[i] & t for i in members)))
+    return n - nullity
 
 
 def random_matrix(rng: random.Random, n: int, density: float = 0.5) -> Gf2Matrix:

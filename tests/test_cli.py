@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import shlex
 import subprocess
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagrank
-from diagrank.cli import _json_parts, build_parser, main, run_bench
+from diagrank.cli import _Escaped, _json_parts, _payload, build_parser, main, run_bench
 from diagrank.generate import gen_random
 from diagrank.gf2 import parse_matrix, rank, render_matrix, with_diagonal
 from diagrank.gf2 import DiagonalAssignment
-from diagrank.hieroglyph import parse_hieroglyph
+from diagrank.hieroglyph import overlap_matrix, parse_hieroglyph
 from diagrank.rankmin import min_rank_decide, min_rank_exact, min_rank_oracle
 
 ANTI_TEXT = "01\n10\n"
@@ -326,6 +327,23 @@ def test_hiero_overlap_from_file_and_stdin(tmp_path):
     assert (code, out) == (0, "01\n10\n")
     code, out, _ = invoke(["hiero", "overlap", "-"], stdin_text="abab\n")
     assert (code, out) == (0, "01\n10\n")
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_hiero_overlap_bytes_match_the_matrix_route(tmp_path, via):
+    # the rows written mirrored give the bytes of rendering the overlap matrix
+    word = [f"t{i}" for i in range(1000)] * 2
+    random.Random(1).shuffle(word)
+    text = " ".join(word) + "\n"
+    h = parse_hieroglyph(text)
+    m = overlap_matrix(h)
+    fields = {"alphabet": list(h.alphabet), "matrix": _Escaped(render_matrix(m, newline="\\n"))}
+    expected_json = "".join(_json_parts(_payload("hiero-overlap", h.n, **fields)))
+    path = tmp_path / "word1000.txt"
+    path.write_text(text)
+    arg, stdin_text = (str(path), None) if via == "file" else ("-", text)
+    assert invoke(["hiero", "overlap", arg], stdin_text) == (0, render_matrix(m), "")
+    assert invoke(["hiero", "overlap", arg, "--json"], stdin_text) == (0, expected_json, "")
 
 
 def test_hiero_decide():

@@ -1,9 +1,12 @@
 """The single-pass completion, the pruned one-sweep search and the
 oracle's prefix walk, checked against their slow paths (corner minors,
 one decision per budget, the sweep without pruning, the sweep pruned by
-size alone and one elimination per rewrite), and the search checked
-against the oracle past the sizes the span-enumerating references reach."""
+size alone and one elimination per rewrite), the search checked
+against the oracle past the sizes the span-enumerating references reach,
+and both checked against the inverse formula, which shares no code with
+either."""
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +26,8 @@ from diagrank.rankmin import min_rank_approx, min_rank_decide, min_rank_exact, m
 from helpers import (
     corner_minor_completion,
     exact_by_decide,
+    inverse_formula_min_rank,
+    naive_overlap,
     planted_matrix,
     planted_noise_matrix,
     product_oracle,
@@ -352,3 +357,15 @@ def test_exact_matches_the_oracle_past_n_12():
         value, witness = min_rank_exact(m, m.n)
         assert value == min_rank_oracle(m)[0], m.rows
         assert rank(with_diagonal(m, witness)) == value, m.rows
+
+
+def test_inverse_formula_matches_oracle_and_exact():
+    # a reference with its own inverse and ranks, sharing no library code
+    rng = random.Random(61)
+    for n, _ in itertools.product(range(1, 11), range(3)):
+        family = [random_matrix(rng, n, density) for density in (0.5, 0.1, 0.2)]
+        family.append(Gf2Matrix.from_rows(naive_overlap(random_hieroglyph(rng, n))))
+        family.append(planted_matrix(rng, n, rng.randint(1, 3)))
+        for m in family:
+            value = inverse_formula_min_rank(m)
+            assert value == min_rank_oracle(m)[0] == min_rank_exact(m, m.n)[0], m

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagrank.gf2 import Gf2Matrix, rank, with_diagonal
+from diagrank.gf2 import Gf2Matrix, rank, render_matrix, with_diagonal
 from diagrank.hieroglyph import (
     Hieroglyph,
     HieroglyphFormatError,
@@ -15,6 +15,7 @@ from diagrank.hieroglyph import (
     genus_decide,
     overlap_matrix,
     parse_hieroglyph,
+    render_overlap,
 )
 from diagrank.rankmin import min_rank_exact, min_rank_oracle
 from helpers import (
@@ -190,6 +191,28 @@ def test_overlap_rows_follow_alphabet_order():
     h = parse_hieroglyph("baba")
     # rows are indexed b, a here; the relation itself is unchanged
     assert overlap_matrix(h).to_lists() == [[0, 1], [1, 0]]
+
+
+def overlap_writer_cases():
+    rng = random.Random(37)
+    for n in [*range(41), 500, 1000, 2048]:
+        yield random_hieroglyph(rng, n)
+    yield parse_hieroglyph("t10 t2 t10 t2 t333 t333")  # multi-character letters
+    yield parse_hieroglyph("a b,c,a b,c")  # a letter that only commas hold together
+    yield Hieroglyph(("a,b", "c", "a,b", "c"))  # a letter holding a comma
+    yield parse_hieroglyph("αβγαγβ")  # non-ASCII letters
+    yield parse_hieroglyph("αβ γ δ αβ δ γ")
+
+
+def test_render_overlap_writes_the_overlap_matrix():
+    # the mirrored rows print as the matrix's rows do, in both newline forms
+    for h in overlap_writer_cases():
+        naive = "".join(f"{''.join(map(str, row))}\n" for row in naive_overlap(h))
+        m = overlap_matrix(h)
+        for nl in ("\n", "\\n"):
+            text = render_overlap(h, nl)
+            assert text == render_matrix(m, nl) == naive.replace("\n", nl), (h.n, nl)
+        assert render_overlap(h) == naive
 
 
 # genus bounds ---------------------------------------------------------------------
