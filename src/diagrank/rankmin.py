@@ -39,7 +39,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .gf2 import DiagonalAssignment, Gf2Matrix, _reduce_rows, basis, completed_rows, rank_rows
+from .gf2 import DiagonalAssignment, Gf2Matrix, _reduce_rows, completed_rows, rank_rows
 
 ORACLE_MAX_DIM = 24
 
@@ -76,31 +76,54 @@ class DecisionOutcome:
         return self.witness is not None
 
 
-def _erased_completion(m: Gf2Matrix, cap: int | None = None) -> tuple[list[int], dict[int, int]]:
-    """Packed rows and row basis of A0, the completion with its diagonal erased.
+def _erased_completion(
+    m: Gf2Matrix, cap: int | None = None
+) -> tuple[list[int], dict[int, int], int]:
+    """Packed rows, row basis and diagonal mask of A0, the completion with its diagonal erased.
 
-    `basis` reads A0's rows as the completion yields them, and `tee`
-    keeps each one read.  Once their rank passes ``cap`` the basis holds
-    cap + 1 entries, the rest of the completion is never computed, and
-    no rows are returned: no flip set is scored past the cap.
+    One loop reads the completion's rows as `completed_rows` yields
+    them: it erases row i's diagonal bit, appends the row, ORs that bit
+    into the diagonal, and reduces the row at once through one
+    `_reduce_rows` over the growing row list, which reads a row only when
+    asked, filing it under its lowest set bit as `basis` does.  So A0's
+    diagonal, the witness of the approximation and the base of every
+    flip-set witness, is read in one place.  Once the rank passes ``cap``
+    the basis holds cap + 1 entries, the rest of the completion is never
+    computed, and no rows are returned, with the diagonal of the rows
+    read: no flip set is scored past the cap.
     """
-    bits = map((1).__lshift__, range(m.n))  # 1 << i for row i
-    read, kept = itertools.tee(map(operator.xor, completed_rows(m), bits))
-    pivots = basis(read, cap)
-    return [] if cap is not None and len(pivots) > cap else list(kept), pivots
+    erased: list[int] = []
+    pivots: dict[int, int] = {}
+    diagonal = 0
+    reduced = _reduce_rows(iter(erased), pivots)  # a list iterator sees later appends
+    for i, row in enumerate(completed_rows(m)):
+        row ^= 1 << i
+        erased.append(row)
+        diagonal |= row & 1 << i
+        row = next(reduced)
+        if row:
+            pivots[(row & -row).bit_length() - 1] = row
+            if cap is not None and len(pivots) > cap:
+                return [], pivots, diagonal
+    return erased, pivots, diagonal
+
+
+# _BITS[s][byte] is bit s of byte, spelled b"0" or b"1"
+_BITS = [bytes(b"01"[byte >> s & 1] for byte in range(256)) for s in range(8)]
 
 
 def _columns(rows: list[int], keys: Iterable[int], n: int) -> list[int]:
     """Columns j of the n-bit ``rows``, for j in ``keys``, as packed ints.
 
     Bit i of column j is bit j of ``rows[i]``.  All of them are read
-    from one string: the rows' n-digit binary spellings, bottom row
-    first, so the digits of column j are every n-th one from n - 1 - j,
-    and the first of them, of the last row, is the most significant.
+    from one byte string: the rows' little-endian bytes, bottom row
+    first, so the byte holding column j is every width-th one from
+    j // 8.  Translated through ``_BITS``, those bytes spell column j in
+    binary, the last row's bit first, as the most significant.
     """
-    top = 1 << n  # bin(row | top) is "0b1" and then the row's n bits, column n - 1 first
-    bits = "".join([bin(row | top)[3:] for row in reversed(rows)])
-    return [int(bits[n - 1 - j :: n] or "0", 2) for j in keys]
+    width = (n + 7) // 8
+    data = b"".join([row.to_bytes(width, "little") for row in reversed(rows)])
+    return [int(data[j >> 3 :: width].translate(_BITS[j & 7]) or b"0", 2) for j in keys]
 
 
 def _span(rows: Iterable[int]) -> list[int]:
@@ -111,12 +134,15 @@ def _span(rows: Iterable[int]) -> list[int]:
     return words
 
 
-def _low_weight_support(gens: list[int], n: int) -> list[int]:
-    """Entry s is the union of the supports of codewords of weight 1..s.
+def _low_weight_support(gens: list[int], n: int, top: int) -> list[int]:
+    """Entry s, for s = 0..top, is the union of the supports of codewords of weight 1..s.
 
     The code is the span of the independent length-n words ``gens``.  Each
     codeword is one word of the `_span` of the first half of ``gens`` XOR
     one of the second half's, so about 2 * 2^(len(gens) / 2) are held at once.
+    Every codeword is filed under its weight, but only the entries up to
+    ``top`` are accumulated: a sweep at budget k walks no size past
+    min(k, n).
     """
     half = len(gens) // 2
     low = _span(gens[:half])
@@ -125,7 +151,7 @@ def _low_weight_support(gens: list[int], n: int) -> list[int]:
         for word in low:
             word ^= high
             support[word.bit_count()] |= word
-    return list(itertools.accumulate(support, operator.or_))
+    return list(itertools.accumulate(itertools.islice(support, top + 1), operator.or_))
 
 
 def _with_rows(pivots: dict[int, int], rows: Iterable[int]) -> list[dict[int, int]]:
@@ -149,6 +175,9 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
     one `_reduce_rows`, and a picked row is reduced once into the child's
     (`_with_rows`).  A node whose basis reaches the best is left; a leaf is
     scored by `rank_rows` of its basis and the rows after its last pick.
+    Both read A0's row list in place, from their position on, and never
+    copy it.  A witness is A0's diagonal, as `_erased_completion` reads
+    it, XOR the flip set.
 
     Only flip sets that can still beat the best are scored.  With
     u = rank(A0), rank(A0 + E_S) >= u - |S|, so every flip set of size s
@@ -175,25 +204,26 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
     the basis restricted to the key columns is unitriangular; A0's
     columns at the keys are then u independent vectors of colspace(A0)
     and generate the column code; `_columns` reads them all from one
-    binary spelling of the rows.  The 2^u codewords are listed once per
+    byte string of the rows.  The 2^u codewords are listed once per
     sweep, at the first walked size with 2^u <= C(n, s), so listing them
     never takes more steps than walking that size's flip sets; they then
-    price every later size.  Before that every position costs 0, a cover
-    for which the bound says no more than the floor.
+    price every later size up to min(k, n), the last one walked, so their
+    supports are kept up to that weight only.  Before that every position
+    costs 0, a cover for which the bound says no more than the floor.
     """
     n = m.n
-    erased, pivots = _erased_completion(m, cap=2 * k)
+    erased, pivots, diagonal = _erased_completion(m, cap=2 * k)
     u = len(pivots)  # capped at 2k + 1: every size is then skipped
-    diagonal = sum(map(operator.and_, erased, map((1).__lshift__, range(n))))
+    top = min(k, n)  # the largest size walked
     best = k + 1
-    covered = None  # covered[code][s]: positions on a codeword of weight <= s
-    for size in range(min(k, n) + 1):
+    covered = None  # covered[code][s]: positions on a codeword of weight <= s <= top
+    for size in range(top + 1):
         floor = max(size, u - size)
         if floor >= best:
             continue
         if covered is None and 1 << u <= math.comb(n, size):
             columns = _columns(erased, pivots, n)
-            covered = [_low_weight_support(code, n) for code in (columns, [*pivots.values()])]
+            covered = [_low_weight_support(code, n, top) for code in (columns, [*pivots.values()])]
         col_cover, row_cover = (c[size] for c in covered) if covered else ((1 << n) - 1,) * 2
         free, half = col_cover & row_cover, col_cover ^ row_cover  # positions of cost 0, 1
 
@@ -205,13 +235,14 @@ def _flip_sweep(m: Gf2Matrix, k: int) -> Iterator[tuple[int, DiagonalAssignment]
 
         def walk(start: int, t: int, left: int, prefix: dict[int, int], flips: int):
             """Improvements (value, flip mask) among ``flips`` plus t positions >= start."""
+            rest = itertools.islice(erased, start, None)  # A0's rows from start, read in place
             if not t:
-                value = rank_rows(itertools.chain(prefix.values(), erased[start:]), cap=best - 1)
+                value = rank_rows(itertools.chain(prefix.values(), rest), cap=best - 1)
                 if value < best:
                     yield value, flips
                 return
             pivots = dict(prefix)  # the rows skipped here join this copy
-            skipped = _reduce_rows(erased[start:], pivots)
+            skipped = _reduce_rows(rest, pivots)
             for i in range(start, n - t + 1):
                 if len(pivots) >= best or least(i, t) > left:  # least only grows with i
                     return
@@ -258,9 +289,9 @@ def min_rank_approx(m: Gf2Matrix) -> tuple[RankBounds, DiagonalAssignment]:
     bound; no diagonal rewrite can do better than half of it.  The
     returned witness, A0's own diagonal, achieves the upper bound exactly.
     """
-    erased, pivots = _erased_completion(m)
+    _, pivots, diagonal = _erased_completion(m)
     upper = len(pivots)
-    return RankBounds((upper + 1) // 2, upper), Gf2Matrix._trusted(m.n, tuple(erased)).diagonal()
+    return RankBounds((upper + 1) // 2, upper), DiagonalAssignment(m.n, diagonal)
 
 
 def min_rank_exact(

@@ -350,11 +350,47 @@ def test_key_columns_of_a0_generate_its_column_space():
             m = planted_matrix(rng, n, rng.randrange(1, 4))
         else:
             m = random_matrix(rng, n, rng.choice((0.05, 0.5, 0.95)))
-        erased, pivots = rankmin._erased_completion(m)
+        erased, pivots, _ = rankmin._erased_completion(m)
         u = len(pivots)
         assert u == column_pivot_rank(erased, n)
         columns = transpose(erased, n)
         assert column_pivot_rank([columns[j] for j in pivots], n) == u
+
+
+def erased_completion_instances():
+    """Dense, density-0.1, planted and word-overlap matrices at n = 0..65."""
+    rng = random.Random(58)
+    for n in range(66):
+        yield random_matrix(rng, n)
+        yield random_matrix(rng, n, 0.1)
+        yield planted_matrix(rng, n, rng.randrange(1, 4))
+        yield overlap_matrix(random_hieroglyph(rng, n))
+
+
+def test_erased_completion_reads_a0_its_basis_and_its_diagonal():
+    # one loop completes, erases and reduces each row: the same rows, basis
+    # and diagonal as the completion's rows erased one by one
+    for m in erased_completion_instances():
+        n = m.n
+        erased, pivots, diagonal = rankmin._erased_completion(m)
+        completed, completed_diagonal = complete_nondegenerate(m)
+        assert erased == [row ^ 1 << i for i, row in enumerate(completed.rows)]
+        assert pivots == basis(erased)
+        assert diagonal == Gf2Matrix(n, tuple(erased)).diagonal().mask
+        assert diagonal == completed_diagonal.mask ^ (1 << n) - 1, m.rows
+
+
+def test_capped_erased_completion_returns_no_rows():
+    # past the cap the basis holds cap + 1 rows, those `basis` keeps with
+    # that cap, and no row of A0 is returned; at cap u every row is
+    for m in erased_completion_instances():
+        erased, pivots, diagonal = rankmin._erased_completion(m)
+        u = len(pivots)
+        for cap in {0, u // 2, u - 1} & set(range(u)):
+            rows, capped, _ = rankmin._erased_completion(m, cap)
+            assert rows == [] and len(capped) == cap + 1, (m.rows, cap)
+            assert capped == basis(erased, cap)
+        assert rankmin._erased_completion(m, u) == (erased, pivots, diagonal)
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 129))
@@ -376,13 +412,13 @@ def test_low_weight_support_matches_span():
         n = rng.randrange(1, 12)
         gens = list(basis([rng.getrandbits(n) for _ in range(n)]).values())
         words = span(gens) - {0}
-        support = rankmin._low_weight_support(gens, n)
+        expected = [0] * (n + 1)
         for s in range(n + 1):
-            expected = 0
             for w in words:
                 if w.bit_count() <= s:
-                    expected |= w
-            assert support[s] == expected
+                    expected[s] |= w
+        for top in range(n + 1):  # the sweep asks for sizes up to min(k, n)
+            assert rankmin._low_weight_support(gens, n, top) == expected[: top + 1]
 
 
 def flipped(rows, flips):
@@ -450,8 +486,8 @@ def test_the_walk_scores_the_lex_ordered_affordable_flip_sets(monkeypatch):
     rng = random.Random(53)
     covers = []
 
-    def random_covers(gens, n):
-        covers.append([(1 << n) - 1 if all_covered else rng.getrandbits(n) for _ in range(n + 1)])
+    def random_covers(gens, n, top):
+        covers.append([(1 << n) - 1 if all_covered else rng.getrandbits(n) for _ in range(top + 1)])
         return covers[-1]
 
     monkeypatch.setattr(rankmin, "_low_weight_support", random_covers)
@@ -460,7 +496,7 @@ def test_the_walk_scores_the_lex_ordered_affordable_flip_sets(monkeypatch):
     for _ in range(40):
         n = rng.randrange(6, 12)
         m = planted_noise_matrix(rng, n, rng.randrange(1, 4), rng.randrange(3))
-        erased, pivots = rankmin._erased_completion(m)
+        erased, pivots, _ = rankmin._erased_completion(m)
         u = len(pivots)
         for k in range((u + 1) // 2, n):
             all_covered = rng.randrange(4) == 0
@@ -479,7 +515,7 @@ def test_support_bound_on_every_small_flip_set():
     # on a nonzero codeword of weight <= |S|
     for m in small_instances(54, 100):
         n = m.n
-        erased, pivots = rankmin._erased_completion(m)
+        erased, pivots, _ = rankmin._erased_completion(m)
         u = len(pivots)
         columns = transpose(erased, n)
         codes = [span(columns) - {0}, span(erased) - {0}]
@@ -511,7 +547,7 @@ def test_flip_set_rank_is_at_least_its_size():
     instances += [planted_noise_matrix(rng, n, 2, 2) for n in (16, 32, 64)]
     instances += [planted_matrix(rng, n, 3) for n in (16, 32, 64)]
     for m in instances:
-        erased, _ = rankmin._erased_completion(m)
+        erased, _, _ = rankmin._erased_completion(m)
         for _ in range(20):
             flips = rng.sample(range(m.n), rng.randrange(m.n + 1))
             rows = list(erased)
@@ -533,7 +569,7 @@ def test_a_no_scores_exactly_the_flip_sets_the_bounds_leave(monkeypatch):
     for _ in range(60):
         n = rng.randrange(6, 17)
         m = planted_noise_matrix(rng, n, rng.randrange(1, 4), rng.randrange(3))
-        erased, pivots = rankmin._erased_completion(m)
+        erased, pivots, _ = rankmin._erased_completion(m)
         u = len(pivots)
         codes = [span(transpose(erased, n)) - {0}, span(erased) - {0}]
         covers = [[0] * (n + 1) for _ in codes]  # covers[c][s]: on a codeword of weight <= s
@@ -557,22 +593,30 @@ def test_planted_noise_exact_scores_few_flip_sets(monkeypatch):
     m = planted_noise_matrix(random.Random(55), 64, 3, 2)
     erased = rankmin._erased_completion(m)[0]
     caps = []
-    bases = []
+    reductions = []  # (the basis as a reduction starts, the rows it reads)
+    reduce_rows = rankmin._reduce_rows
 
     def counting_rank_rows(rows, cap=None):
         caps.append(cap)
         return rank_rows(rows, cap)
 
-    def recording_basis(rows, cap=None):
-        bases.append(list(rows))
-        return basis(bases[-1], cap)
+    def recording_reduce_rows(rows, pivots):
+        read = []
+        reductions.append((dict(pivots), read))
+
+        def tap():  # lazy: the completion's reduction reads rows as they are appended
+            for row in rows:
+                read.append(row)
+                yield row
+
+        return reduce_rows(tap(), pivots)
 
     monkeypatch.setattr(rankmin, "rank_rows", counting_rank_rows)
-    monkeypatch.setattr(rankmin, "basis", recording_basis)
+    monkeypatch.setattr(rankmin, "_reduce_rows", recording_reduce_rows)
     value, witness = min_rank_exact(m, 5)
     assert len(caps) <= 10  # the size-pruned sweep makes hundreds of thousands
     # one insertion of A0's rows gives its rank and both codes
-    assert bases == [erased]
+    assert [r for r in reductions if r[1] == erased] == [({}, erased)]
     assert column_pivot_rank(with_diagonal(m, witness).rows, 64) == value
     assert min_rank_approx(m)[0].lower <= value <= 5
 
@@ -591,9 +635,9 @@ def test_no_codewords_listed_when_the_code_outnumbers_the_flip_sets(monkeypatch)
     walks = []
     listing = rankmin._low_weight_support
 
-    def counting(gens, n):
+    def counting(gens, n, top):
         walks.append(len(gens))
-        return listing(gens, n)
+        return listing(gens, n, top)
 
     monkeypatch.setattr(rankmin, "_low_weight_support", counting)
     m = random_12_with_u_11()
@@ -611,7 +655,7 @@ def test_every_walked_size_goes_through_the_priced_walk(monkeypatch):
     # rank and the floor exit; the codes are never listed here
     scored = recorded_leaves(monkeypatch)
     m = random_12_with_u_11()
-    erased, pivots = rankmin._erased_completion(m)
+    erased, pivots, _ = rankmin._erased_completion(m)
     n, u = 12, len(pivots)
     assert u == 11
     walked = 0
